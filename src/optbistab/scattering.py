@@ -13,15 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (
-    CorrelationVector,
-    covariance_row,
-    laplace_correlation_vector,
-    solve_lyapunov,
-)
-from .lindyn import build_diffusion, build_jacobian
+from .covariance import CorrelationVector, resolvent_component
 from .numerics import TOL
-from .spectra import SpectrumSeries
+from .spectra import SpectrumSeries, resolvent_anchor
 
 
 @dataclass(frozen=True)
@@ -244,19 +238,12 @@ def auxiliary_spectrum(params, X, channel: AuxiliaryChannel, y_grid) -> Spectrum
     identically. The scaling and renormalization are carried out literally
     rather than skipped, so the cancellation is a computed fact.
     """
-    if X == 0:
-        raise ValueError("no incoherent component at X = 0")
     y = np.asarray(y_grid, dtype=float)
-    J = build_jacobian(params, X, regime="full")
-    Cinf = solve_lyapunov(J, build_diffusion(X))
-    c0 = covariance_row(Cinf, "nu*")
+    J, c0, comp, _ = resolvent_anchor(params, X, "atomic")
     pref = channel.prefactor
     scaled_c0 = CorrelationVector(row=c0.row, entries=pref * c0.entries, tau_bar=0.0)
-    norm = pref * c0["nu"].real  # equal-time output flux (scaled units)
-    values = np.empty_like(y)
-    for k, yk in enumerate(y):
-        resolved = laplace_correlation_vector(J, scaled_c0, -1j * yk)
-        values[k] = resolved["nu"].real / (np.pi * norm)
+    norm = pref * c0[comp].real  # equal-time output flux (scaled units)
+    values = resolvent_component(J, scaled_c0, -1j * y, comp).real / (np.pi * norm)
     return SpectrumSeries(
         y=y, values=values, kind="atomic", method="auxiliary-channel",
         params={"C": params.C, "xi": params.xi, "N": params.N, "X": X,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import covariance_row, laplace_correlation_vector, solve_lyapunov
+from .covariance import covariance_row, resolvent_component, solve_lyapunov
 from .lindyn import (
     RegimeWarning,
     build_diffusion,
@@ -233,20 +233,19 @@ def spectrum_closed_form(variant, params=None, X=None, y_grid=None) -> SpectrumS
 # numeric resolvent spectrum
 # ---------------------------------------------------------------------------
 
-def spectrum_numeric(params, X, kind, y_grid) -> SpectrumSeries:
-    """Spectrum from the stationary covariance and the drift resolvent.
+def resolvent_anchor(params, X, kind):
+    """Everything a numeric spectrum resolves, with its preconditions checked.
 
-    kind="atomic" anchors the nu* row and reads the nu component;
-    kind="forward" anchors z* and reads z. Requires a stable operating point
-    and X > 0 (at X = 0 there is no incoherent component to normalize).
+    kind="atomic" anchors the nu* row of the stationary covariance and reads
+    the nu component; kind="forward" anchors z* and reads z. Requires X > 0
+    (at X = 0 there is no incoherent component to normalize), a stable
+    operating point and a positive incoherent weight. Returns
+    (J, c0, comp, norm) with norm = Re c0[comp].
     """
     if kind not in ("atomic", "forward"):
         raise ValueError(f"kind must be 'atomic' or 'forward', got {kind!r}")
     if X == 0:
         raise ValueError("no incoherent component at X = 0")
-    y = np.asarray(y_grid, dtype=float)
-    if y.size == 0:
-        raise ValueError("empty frequency grid")
     J = build_jacobian(params, X, regime="full")
     if not is_stable(J):
         raise UnstableOperatingPointError(
@@ -258,10 +257,20 @@ def spectrum_numeric(params, X, kind, y_grid) -> SpectrumSeries:
     norm = c0[comp].real
     if norm <= 0:
         raise ValueError(f"incoherent weight {row}->{comp} is not positive")
-    values = np.empty_like(y)
-    for k, yk in enumerate(y):
-        resolved = laplace_correlation_vector(J, c0, -1j * yk)
-        values[k] = resolved[comp].real / (np.pi * norm)
+    return J, c0, comp, norm
+
+
+def spectrum_numeric(params, X, kind, y_grid) -> SpectrumSeries:
+    """Spectrum from the stationary covariance and the drift resolvent.
+
+    kind is "atomic" or "forward"; the anchor row, the component read and
+    the preconditions on the operating point are those of resolvent_anchor.
+    """
+    y = np.asarray(y_grid, dtype=float)
+    if y.size == 0:
+        raise ValueError("empty frequency grid")
+    J, c0, comp, norm = resolvent_anchor(params, X, kind)
+    values = resolvent_component(J, c0, -1j * y, comp).real / (np.pi * norm)
     return SpectrumSeries(
         y=y, values=values, kind=kind, method="numeric-resolvent",
         params=_params_meta(params, X=X),
@@ -383,19 +392,11 @@ def verify_unit_area(series_or_callable, variant, params=None, X=None,
     "numeric-atomic"/"numeric-forward". Returns the certified-area record;
     callers compare record["area"] + tail against 1.
     """
-    if variant.startswith("numeric"):
-        kind = variant.split("-", 1)[1]
-        J = build_jacobian(params, X, regime="full")
-        Cinf = solve_lyapunov(J, build_diffusion(X))
-        row, comp = ("nu*", "nu") if kind == "atomic" else ("z*", "z")
-        c0 = covariance_row(Cinf, row)
-        norm = c0[comp].real
+    if variant in ("numeric-atomic", "numeric-forward"):
+        J, c0, comp, norm = resolvent_anchor(params, X, variant.split("-", 1)[1])
 
         def evaluate(y):
-            out = np.empty_like(y)
-            for k, yk in enumerate(y):
-                out[k] = laplace_correlation_vector(J, c0, -1j * yk)[comp].real
-            return out / (np.pi * norm)
+            return resolvent_component(J, c0, -1j * y, comp).real / (np.pi * norm)
 
         feature = max(1.0, np.max(np.abs(np.linalg.eigvals(J.entries))))
     else:

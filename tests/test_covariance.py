@@ -6,18 +6,25 @@ import numpy as np
 import pytest
 
 from conftest import full_system, oracle_covariance_kron, oracle_covariance_scipy
+from optbistab import covariance as covariance_mod
 from optbistab.covariance import (
     CorrelationVector,
     UnstableDriftError,
     covariance_row,
     evolve_correlation_vector,
     laplace_correlation_vector,
+    resolvent_component,
     solve_lyapunov,
     strong_covariance_closed,
     weak_covariance_row,
 )
-from optbistab.lindyn import RegimeWarning, build_diffusion, build_jacobian
-from optbistab.numerics import ConditioningError, integrate_linear_ode, quadrature
+from optbistab.lindyn import IDX, RegimeWarning, build_diffusion, build_jacobian
+from optbistab.numerics import (
+    ConditioningError,
+    integrate_linear_ode,
+    quadrature,
+    solve_complex_linear,
+)
 from optbistab.params import SystemParams
 
 
@@ -225,6 +232,67 @@ class TestLaplace:
         pole = np.linalg.eigvals(J.entries.astype(complex))[0]
         with pytest.raises(ConditioningError):
             laplace_correlation_vector(J, c0, pole + 1e-12)
+
+
+# (C, xi, X, anchor row, component): the CLI's three weak lower-branch points
+# and an upper-branch forward point
+RESOLVENT_POINTS = [
+    (5.0, 500.0, 2e-3, "nu*", "nu"),
+    (5.0, 0.01, 1.5e-3, "nu*", "nu"),
+    (200.0, 1.0, 2.5e-3, "nu*", "nu"),
+    (200.0, 1.0, 120.0, "z*", "z"),
+]
+
+
+def _anchored(C, xi, X, row):
+    J, D = full_system(SystemParams(C=C, xi=xi, N=1), X)
+    return J, covariance_row(solve_lyapunov(J, D), row)
+
+
+def _certified_grid(J):
+    """The layout certified_area integrates on (dense core, log tails) for
+    this drift, every 16th point, so the per-point reference loop stays short."""
+    core = 10.0 * max(1.0, np.max(np.abs(np.linalg.eigvals(J.entries))))
+    right = np.geomspace(core, 64.0 * core, 4001)[1:]
+    grid = np.concatenate([-right[::-1], np.linspace(-core, core, 40001), right])
+    return grid[::16]
+
+
+class TestResolventComponent:
+    @pytest.mark.parametrize("C, xi, X, row, comp", RESOLVENT_POINTS)
+    def test_equals_per_point_solves(self, C, xi, X, row, comp):
+        J, c0 = _anchored(C, xi, X, row)
+        for y in (np.linspace(-30.0, 30.0, 2001), _certified_grid(J)):
+            s = -1j * y
+            ref = np.array([
+                solve_complex_linear(sk * np.eye(5, dtype=complex) - J.entries,
+                                     c0.entries)[IDX[comp]]
+                for sk in s
+            ])
+            got = resolvent_component(J, c0, s, comp)
+            assert got.shape == y.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_pole_in_a_later_block_raises(self, weak_point):
+        params, J, _ = weak_point
+        c0 = weak_covariance_row(params, 0.01)
+        block = covariance_mod._RESOLVENT_BLOCK
+        s = -1j * np.linspace(-30.0, 30.0, 3 * block)
+        pole = np.linalg.eigvals(J.entries.astype(complex))[0]
+        s[2 * block + 5] = pole + 1e-12
+        resolvent_component(J, c0, s[:2 * block], "nu")
+        with pytest.raises(ConditioningError, match="drift eigenvalue"):
+            resolvent_component(J, c0, s, "nu")
+
+    def test_partial_last_block_returns_every_point(self, weak_point):
+        params, J, _ = weak_point
+        c0 = weak_covariance_row(params, 0.01)
+        n = 2 * covariance_mod._RESOLVENT_BLOCK + 3
+        s = -1j * np.linspace(-30.0, 30.0, n)
+        got = resolvent_component(J, c0, s, "nu")
+        ref = np.array([laplace_correlation_vector(J, c0, sk)["nu"] for sk in s])
+        assert got.shape == (n,)
+        assert np.array_equal(got, ref)
 
 
 class TestCorrelationVector:

@@ -68,6 +68,18 @@ class TestNumericSpectrum:
         with pytest.raises(ValueError, match="incoherent"):
             spectrum_numeric(p51, 0.0, "atomic", np.linspace(-1, 1, 5))
 
+    def test_unit_area_rejects_unknown_numeric_variant(self, p51):
+        with pytest.raises(ValueError, match="not a unit-area variant"):
+            verify_unit_area(None, "numeric-bogus", p51, 0.01)
+
+    def test_unit_area_rejects_dark_cavity(self, p51):
+        with pytest.raises(ValueError, match="no incoherent component at X = 0"):
+            verify_unit_area(None, "numeric-atomic", p51, 0.0)
+
+    def test_unit_area_rejects_unstable_point(self, p51):
+        with pytest.raises(UnstableOperatingPointError):
+            verify_unit_area(None, "numeric-atomic", p51, 2.0)
+
 
 class TestClosedForms:
     def test_bad_cavity_center_height(self):
