@@ -11,6 +11,7 @@ for JSON runs.
 """
 
 import argparse
+import dataclasses
 import sys
 import warnings as _warnings
 
@@ -78,42 +79,51 @@ def resolve_params(args, need_N=False):
     return params_mod.SystemParams(C=args.C, xi=args.xi, N=args.N)
 
 
-def _params_meta(p):
-    meta = {"C": p.C, "xi": p.xi, "N": p.N}
-    if p.has_rates:
-        meta.update({"g": p.g, "kappa": p.kappa, "gamma": p.gamma, "n_sc": p.n_sc})
-    return meta
+def _record_meta(p, **extra):
+    """Series metadata of p plus its raw rates, when it carries them."""
+    return params_mod.params_meta(p, g=p.g, kappa=p.kappa, gamma=p.gamma,
+                                  n_sc=p.n_sc, **extra)
 
 
-def _emit_series(args, label_series, columns_of, rows_of, warn_msgs,
-                 always_suffix=False):
-    """Write one file per (label, series); returns list of paths."""
+def _emit_record(args, stem, meta, columns=None, rows=None, record=None,
+                 warn_msgs=()):
+    """Write one table, or one record of named values, as CSV or JSON.
+
+    The path is `stem` with the format's suffix unless it already has it. A
+    JSON table is {meta, columns, rows, warnings}; a JSON record puts its
+    values beside meta and warnings as flat keys. CSV warnings also go to
+    stderr. Prints the path.
+    """
+    path = stem if stem.endswith(f".{args.format}") else f"{stem}.{args.format}"
+    if record is not None:
+        columns, rows = tuple(record), [tuple(record.values())]
+    if args.format == "csv":
+        output.write_csv(path, columns, rows, meta=meta, warnings_list=warn_msgs)
+        for w in warn_msgs:
+            print(f"warning: {w}", file=sys.stderr)
+    elif record is None:
+        output.write_json(path, {"meta": meta, "columns": list(columns),
+                                 "rows": [list(r) for r in rows],
+                                 "warnings": list(warn_msgs)})
+    else:
+        output.write_json(path, {"meta": meta, **record, "warnings": list(warn_msgs)})
+    print(path)
+
+
+def _emit_series(args, label_series, warn_msgs=(), always_suffix=False):
+    """Write one table per (label, series): y and T for a spectrum, tau_bar
+    and g2 for a correlation."""
     stem = args.out or "out"
-    paths = []
     multi = always_suffix or len(label_series) > 1
     for label, series in label_series:
-        if multi:
-            path = f"{stem}_{label}.{args.format}"
+        if isinstance(series, spectra.SpectrumSeries):
+            columns, x = ("y", "T"), series.y
         else:
-            path = stem if stem.endswith(f".{args.format}") else f"{stem}.{args.format}"
-        meta = output.series_meta(series, seed=args.seed)
-        all_warn = list(getattr(series, "warnings", ())) + list(warn_msgs)
-        if args.format == "csv":
-            output.write_csv(path, columns_of(series), rows_of(series), meta=meta,
-                             warnings_list=all_warn)
-            for w in all_warn:
-                print(f"warning: {w}", file=sys.stderr)
-        else:
-            payload = {
-                "meta": meta,
-                "columns": columns_of(series),
-                "rows": [list(r) for r in rows_of(series)],
-                "warnings": list(all_warn),
-            }
-            output.write_json(path, payload)
-        paths.append(path)
-        print(path)
-    return paths
+            columns, x = ("tau_bar", "g2"), series.tau_bar
+        _emit_record(args, f"{stem}_{label}" if multi else stem,
+                     output.series_meta(series, seed=args.seed), columns,
+                     list(zip(x, series.values)),
+                     warn_msgs=list(series.warnings) + list(warn_msgs))
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +146,7 @@ def cmd_curve(args):
                      "bistable": tp.exists, "degenerate": tp.degenerate})
     else:
         meta.update({"bistable": False, "summary": "monostable"})
-    path = args.out or "curve"
-    path = path if path.endswith(f".{args.format}") else f"{path}.{args.format}"
-    if args.format == "csv":
-        output.write_csv(path, ("X", "Y", "branch"), rows, meta=meta)
-    else:
-        output.write_json(path, {"meta": meta, "columns": ["X", "Y", "branch"],
-                                 "rows": [list(r) for r in rows], "warnings": []})
-    print(path)
+    _emit_record(args, args.out or "curve", meta, ("X", "Y", "branch"), rows)
     return EXIT_OK
 
 
@@ -156,14 +159,7 @@ def _solve_common(args, Y, command="solve"):
     points = steady_state.solve_state_equation(C, Y)
     rows = [(pt.X, pt.Y, pt.branch) for pt in points]
     meta = {"C": C, "Y": Y, "command": command, "seed": args.seed}
-    path = args.out or "solve"
-    path = path if path.endswith(f".{args.format}") else f"{path}.{args.format}"
-    if args.format == "csv":
-        output.write_csv(path, ("X", "Y", "branch"), rows, meta=meta)
-    else:
-        output.write_json(path, {"meta": meta, "columns": ["X", "Y", "branch"],
-                                 "rows": [list(r) for r in rows], "warnings": []})
-    print(path)
+    _emit_record(args, args.out or "solve", meta, ("X", "Y", "branch"), rows)
     return EXIT_OK
 
 
@@ -226,22 +222,17 @@ def cmd_spectrum(args):
     if series.validity_window is not None and not args.full_range:
         lo, hi = series.validity_window
         keep = (series.y >= lo) & (series.y <= hi)
-        series = spectra.SpectrumSeries(
-            y=series.y[keep], values=series.values[keep], kind=series.kind,
-            method=series.method, params=series.params,
-            validity_window=series.validity_window, warnings=series.warnings,
-        )
-    return _emit_series(
-        args, [(args.method, series)],
-        columns_of=lambda s: ("y", "T"),
-        rows_of=lambda s: list(zip(s.y, s.values)),
-        warn_msgs=norm_note,
-    ) and EXIT_OK
+        series = dataclasses.replace(series, y=series.y[keep],
+                                     values=series.values[keep])
+    _emit_series(args, [(args.method, series)], warn_msgs=norm_note)
+    return EXIT_OK
 
 
 def cmd_g2(args):
     if args.preset:
         return cmd_preset(args)
+    if args.taumax <= 0:
+        raise UsageError("g2 needs --taumax > 0")
     params = resolve_params(args, need_N=True)
     grid = np.linspace(0.0, args.taumax, args.points)
     if args.variant == "numeric":
@@ -251,12 +242,8 @@ def cmd_g2(args):
     else:
         series = correlations.g2_closed_form(args.variant, params, X=args.X,
                                              tau_bar_grid=grid)
-    return _emit_series(
-        args, [(args.variant, series)],
-        columns_of=lambda s: ("tau_bar", "g2"),
-        rows_of=lambda s: list(zip(s.tau_bar, s.values)),
-        warn_msgs=[],
-    ) and EXIT_OK
+    _emit_series(args, [(args.variant, series)])
+    return EXIT_OK
 
 
 def cmd_squeeze(args):
@@ -264,28 +251,8 @@ def cmd_squeeze(args):
     if args.X is None:
         raise UsageError("squeeze needs --X")
     qv = correlations.quadrature_variances(params, args.X)
-    payload = {
-        "meta": {**_params_meta(params), "X": args.X, "command": "squeeze",
-                 "seed": args.seed},
-        "var_J0": qv.var_J0,
-        "var_Jpi2": qv.var_Jpi2,
-        "squeezed": qv.squeezed,
-        "ratio": qv.ratio,
-        "method": qv.method,
-        "warnings": [],
-    }
-    path = args.out or "squeeze"
-    if args.format == "json":
-        path = path if path.endswith(".json") else f"{path}.json"
-        output.write_json(path, payload)
-    else:
-        path = path if path.endswith(".csv") else f"{path}.csv"
-        output.write_csv(
-            path, ("var_J0", "var_Jpi2", "squeezed", "ratio", "method"),
-            [(qv.var_J0, qv.var_Jpi2, qv.squeezed, qv.ratio, qv.method)],
-            meta=payload["meta"],
-        )
-    print(path)
+    meta = _record_meta(params, X=args.X, command="squeeze", seed=args.seed)
+    _emit_record(args, args.out or "squeeze", meta, record=dataclasses.asdict(qv))
     return EXIT_OK
 
 
@@ -303,43 +270,20 @@ def cmd_scatter(args):
                                               rng_seed=args.seed)
             source = {"N": args.N, "cube_side_lambda": args.cube}
         stats = scattering.phase_sum_monte_carlo(geom, args.trials)
-        payload = {"meta": {"command": "scatter-phase-sum", **source,
-                            "trials": args.trials, "seed": args.seed},
-                   **stats.to_json_dict(), "warnings": []}
-        path = args.out or "phase_sum"
-        if args.format == "json":
-            path = path if path.endswith(".json") else f"{path}.json"
-            output.write_json(path, payload)
-        else:
-            path = path if path.endswith(".csv") else f"{path}.csv"
-            output.write_csv(
-                path, ("mean_abs", "max_abs", "coherent_bound", "trials", "seed"),
-                [(stats.mean_abs, stats.max_abs, stats.coherent_bound,
-                  stats.trials, stats.seed)],
-                meta=payload["meta"],
-            )
-        print(path)
+        meta = {"command": "scatter-phase-sum", **source, "trials": args.trials,
+                "seed": args.seed}
+        _emit_record(args, args.out or "phase_sum", meta,
+                     record=dataclasses.asdict(stats))
         return EXIT_OK
     # incoherent side flux
     params = resolve_params(args)
     if args.X is None:
         raise UsageError("scatter flux needs --X")
     res = scattering.side_flux(params, args.X, args.theta, args.solid_angle)
-    payload = {"meta": {**_params_meta(params), "X": args.X, "theta": args.theta,
-                        "solid_angle": args.solid_angle, "command": "scatter-flux",
-                        "seed": args.seed},
-               "flux": res.flux, "weak_flux": res.weak_flux,
-               "R_gamma_over_gammaN": res.R_gamma_over_gammaN, "warnings": []}
-    path = args.out or "side_flux"
-    if args.format == "json":
-        path = path if path.endswith(".json") else f"{path}.json"
-        output.write_json(path, payload)
-    else:
-        path = path if path.endswith(".csv") else f"{path}.csv"
-        output.write_csv(path, ("flux", "weak_flux", "R_gamma_over_gammaN"),
-                         [(res.flux, res.weak_flux, res.R_gamma_over_gammaN)],
-                         meta=payload["meta"])
-    print(path)
+    meta = _record_meta(params, X=args.X, theta=args.theta,
+                        solid_angle=args.solid_angle, command="scatter-flux",
+                        seed=args.seed)
+    _emit_record(args, args.out or "side_flux", meta, record=dataclasses.asdict(res))
     return EXIT_OK
 
 
@@ -350,19 +294,8 @@ def cmd_preset(args):
     label_series = presets.run_preset(name, seed=args.seed)
     if args.out is None:
         args.out = name
-    if hasattr(label_series[0][1], "y"):
-        return _emit_series(
-            args, label_series,
-            columns_of=lambda s: ("y", "T"),
-            rows_of=lambda s: list(zip(s.y, s.values)),
-            warn_msgs=[], always_suffix=True,
-        ) and EXIT_OK
-    return _emit_series(
-        args, label_series,
-        columns_of=lambda s: ("tau_bar", "g2"),
-        rows_of=lambda s: list(zip(s.tau_bar, s.values)),
-        warn_msgs=[], always_suffix=True,
-    ) and EXIT_OK
+    _emit_series(args, label_series, always_suffix=True)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,12 @@ from .lindyn import (
     build_diffusion,
     build_jacobian,
     is_stable,
+    regime_violation,
     weak_scales,
 )
-from .numerics import TOL, matrix_exponential
-from .steady_state import steady_moments, turning_points
+from .numerics import matrix_exponential
+from .params import params_meta
+from .steady_state import steady_moments
 
 G2_VARIANTS = (
     "atomic-weak",
@@ -84,27 +86,19 @@ def _sin_over(G, t):
     return np.where(np.abs(Gt) < 1e-8, t * (1.0 - Gt * Gt / 6.0), np.sin(Gt) / safe_G)
 
 
+def _delays(tau_bar_grid):
+    # g2 is even in the delay; a negative one is a caller error, not exp(J tau)
+    t = np.asarray(tau_bar_grid, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("tau_bar must be nonnegative")
+    return t
+
+
 def _real_checked(values):
     values = np.asarray(values)
     if np.max(np.abs(values.imag)) > 1e-9 * max(1.0, np.max(np.abs(values.real))):
         raise ValueError("correlation evaluated to a non-real value")
     return values.real
-
-
-def _meta(params, **extra):
-    meta = {"C": params.C, "xi": params.xi, "N": params.N}
-    meta.update({k: v for k, v in extra.items() if v is not None})
-    return meta
-
-
-def _warn_weak(params, X):
-    if X is not None and params.C > 4.0:
-        tp = turning_points(params.C)
-        if X >= TOL.weak_guard_frac * tp.X_minus:
-            warnings.warn(
-                f"weak-excitation correlation at X={X:g}, "
-                f"not << X_minus={tp.X_minus:g}", RegimeWarning, stacklevel=3,
-            )
 
 
 def anomalous_correlator_time(params, X, tau_bar):
@@ -114,7 +108,8 @@ def anomalous_correlator_time(params, X, tau_bar):
     exp(-(xi+1) tau_bar / 2); equals the equal-time anomalous entry of the
     weak covariance row at tau_bar = 0.
     """
-    _warn_weak(params, X)
+    if msg := regime_violation(params.C, X, "weak"):
+        warnings.warn(msg, RegimeWarning, stacklevel=2)
     two_C, xi = 2.0 * params.C, params.xi
     t = np.asarray(tau_bar, dtype=float)
     G = weak_scales(params, X).G_bar
@@ -138,20 +133,21 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
     requires raw rates), forward-weak, single-atom-pure-state, side-large-C,
     atomic-impedance and forward-impedance (both require xi = 1 exactly),
     atomic-strong. Weak variants warn outside X << X_minus; the strong
-    variant warns unless X^2 << N.
+    variant warns unless X^2 << N. Delays must be nonnegative.
     """
     if variant not in G2_VARIANTS:
         raise ValueError(f"unknown g2 variant {variant!r}")
     if params.N < 1:
         raise ValueError("N must be >= 1")
-    t = np.asarray(tau_bar_grid, dtype=float)
+    t = _delays(tau_bar_grid)
     two_C, xi, N = 2.0 * params.C, params.xi, params.N
     warn_msgs = []
     if variant.endswith("impedance") and abs(xi - 1.0) > 1e-12:
         raise ValueError("impedance-matched forms require xi = 1")
-    if variant in ("atomic-weak", "atomic-weak-recast", "forward-weak",
-                   "single-atom-pure-state"):
-        _warn_weak(params, X if X is not None else 0.0)
+    weak = variant in ("atomic-weak", "atomic-weak-recast", "forward-weak",
+                       "single-atom-pure-state")
+    if weak and (msg := regime_violation(params.C, X, "weak")):
+        warnings.warn(msg, RegimeWarning, stacklevel=2)
     if variant == "atomic-strong":
         if X is None:
             raise ValueError("atomic-strong requires X")
@@ -207,7 +203,7 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
         warn_msgs.append(msg)
     return CorrelationSeries(
         tau_bar=t, values=vals, variant=variant,
-        params=_meta(params, X=X), warnings=tuple(warn_msgs),
+        params=params_meta(params, X=X), warnings=tuple(warn_msgs),
     )
 
 
@@ -218,10 +214,11 @@ def g2_numeric(params, X, tau_bar_grid) -> CorrelationSeries:
     propagated through the full drift; the polarization amplitude is
     p = X/(1+X^2) from the steady solution. Negative values are flagged,
     never clamped: they diagnose the breakdown of the linearized treatment.
+    Delays must be nonnegative.
     """
     if X == 0:
         raise ValueError("coherent amplitude vanishes at X = 0")
-    t = np.asarray(tau_bar_grid, dtype=float)
+    t = _delays(tau_bar_grid)
     J = build_jacobian(params, X, regime="full")
     if not is_stable(J):
         raise ValueError("operating point is not stable; g2 undefined")
@@ -248,7 +245,7 @@ def g2_numeric(params, X, tau_bar_grid) -> CorrelationSeries:
         warn_msgs.append(msg)
     return CorrelationSeries(
         tau_bar=t, values=vals, variant="numeric",
-        params=_meta(params, X=X), warnings=tuple(warn_msgs),
+        params=params_meta(params, X=X), warnings=tuple(warn_msgs),
     )
 
 
@@ -264,13 +261,9 @@ def quadrature_variances(params, X) -> QuadratureVariances:
     nonclassicality diagnostic |c_nu*(0)| / c_nu(0), classically bounded
     by 1.
     """
-    weak_ok = True
-    if params.C > 4.0:
-        tp = turning_points(params.C)
-        weak_ok = X < TOL.weak_guard_frac * tp.X_minus
     if X == 0:
         return QuadratureVariances(0.25, 0.25, False, 0.0, "weak-closed")
-    if weak_ok:
+    if regime_violation(params.C, X, "weak") is None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
             row = weak_covariance_row(params, X)

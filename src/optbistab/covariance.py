@@ -14,11 +14,19 @@ Two-time correlators anchored to one row r of the covariance form a
 with c(0) the r-th row of the stationary covariance.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lindyn import IDX, FluctuationMatrix, RegimeWarning, is_stable, saturation_factor
+from .lindyn import (
+    IDX,
+    FluctuationMatrix,
+    RegimeWarning,
+    is_stable,
+    regime_violation,
+    saturation_factor,
+)
 from .numerics import (
     TOL,
     ConditioningError,
@@ -26,8 +34,6 @@ from .numerics import (
     matrix_exponential,
     solve_complex_linear,
 )
-from .steady_state import turning_points
-import warnings
 
 
 class UnstableDriftError(ValueError):
@@ -113,26 +119,6 @@ def covariance_row(C: FluctuationMatrix, row: str) -> CorrelationVector:
                              tau_bar=0.0)
 
 
-def _warn_weak(C, X):
-    if C > 4.0:
-        tp = turning_points(C)
-        if X >= TOL.weak_guard_frac * tp.X_minus:
-            warnings.warn(
-                f"weak-excitation closed form at X={X:g}, not << X_minus={tp.X_minus:g}",
-                RegimeWarning, stacklevel=3,
-            )
-
-
-def _warn_strong(C, X):
-    if C > 4.0:
-        tp = turning_points(C)
-        if X <= TOL.strong_guard_frac * tp.X_plus:
-            warnings.warn(
-                f"strong-excitation closed form at X={X:g}, not >> X_plus={tp.X_plus:g}",
-                RegimeWarning, stacklevel=3,
-            )
-
-
 def weak_covariance_row(params, X) -> CorrelationVector:
     """Equal-time atomic correlation row in the weak-excitation limit.
 
@@ -150,7 +136,8 @@ def weak_covariance_row(params, X) -> CorrelationVector:
     """
     if X < 0:
         raise ValueError("X must be nonnegative")
-    _warn_weak(params.C, X)
+    if msg := regime_violation(params.C, X, "weak"):
+        warnings.warn(msg, RegimeWarning, stacklevel=2)
     two_C, xi = 2.0 * params.C, params.xi
     d1 = (1.0 + two_C) * (xi + 1.0)
     d2 = d1 * d1
@@ -173,7 +160,8 @@ def strong_covariance_closed(params, X):
     """
     if X <= 0:
         raise ValueError("X must be positive")
-    _warn_strong(params.C, X)
+    if msg := regime_violation(params.C, X, "strong"):
+        warnings.warn(msg, RegimeWarning, stacklevel=2)
     two_C, xi = 2.0 * params.C, params.xi
     K = saturation_factor(X, xi)
     f = xi / (xi + 1.0)

@@ -57,14 +57,6 @@ class FluctuationMatrix:
             if np.max(np.abs(e - e.T)) > 1e-10:
                 raise ValueError("covariance must be symmetric to 1e-10")
 
-    def to_json_dict(self):
-        return {
-            "basis": list(BASIS),
-            "kind": self.kind,
-            "units": self.units,
-            "entries": [list(map(float, row)) for row in self.entries],
-        }
-
 
 @dataclass(frozen=True)
 class WeakScales:
@@ -93,20 +85,22 @@ class WeakScales:
     K: float
 
 
-def _guard_regime(C, X, regime):
-    if C <= 4.0:
-        return
+def regime_violation(C, X, regime):
+    """Why amplitude X lies outside a limit regime, or None if it does not.
+
+    regime="weak" wants X << X_minus (X < TOL.weak_guard_frac * X_minus) and
+    regime="strong" wants X >> X_plus (X > TOL.strong_guard_frac * X_plus).
+    Without bistability (C <= 4) or without an amplitude (X None) there is
+    nothing to violate.
+    """
+    if C <= 4.0 or X is None:
+        return None
     tp = turning_points(C)
     if regime == "weak" and X >= TOL.weak_guard_frac * tp.X_minus:
-        warnings.warn(
-            f"weak form requested at X={X:g}, not << X_minus={tp.X_minus:g}",
-            RegimeWarning, stacklevel=3,
-        )
+        return f"weak-excitation form at X={X:g}, not << X_minus={tp.X_minus:g}"
     if regime == "strong" and X <= TOL.strong_guard_frac * tp.X_plus:
-        warnings.warn(
-            f"strong form requested at X={X:g}, not >> X_plus={tp.X_plus:g}",
-            RegimeWarning, stacklevel=3,
-        )
+        return f"strong-excitation form at X={X:g}, not >> X_plus={tp.X_plus:g}"
+    return None
 
 
 def build_jacobian(params, X, regime="full") -> FluctuationMatrix:
@@ -121,8 +115,8 @@ def build_jacobian(params, X, regime="full") -> FluctuationMatrix:
         raise ValueError("X must be nonnegative")
     if regime not in ("full", "weak", "strong"):
         raise ValueError(f"unknown regime {regime!r}")
-    if regime != "full":
-        _guard_regime(params.C, X, regime)
+    if regime != "full" and (msg := regime_violation(params.C, X, regime)):
+        warnings.warn(msg, RegimeWarning, stacklevel=2)
     two_C, xi = 2.0 * params.C, params.xi
     s = 1.0 / (1.0 + X * X) if regime == "full" else 1.0
     J = np.array([

@@ -126,15 +126,18 @@ def matrix_exponential(A, t=1.0):
 def integrate_ode(rhs, x0, t_max, dt):
     """Fixed-step classical RK4 for dx/dt = rhs(x).
 
-    Returns (times, states) with states[k] the state at times[k]. A non-finite
-    state aborts with DivergenceError carrying the first bad step index.
+    Returns (times, states) with states[k] the state at times[k]; states keep
+    the dtype of x0 (complex stays complex, anything else becomes float). A
+    non-finite state aborts with DivergenceError carrying the first bad step
+    index.
     """
     if dt <= 0 or t_max <= 0:
         raise ValueError("dt and t_max must be positive")
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0)
+    x = x.astype(np.result_type(x.dtype, float))
     n_steps = int(round(t_max / dt))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    states = np.empty((n_steps + 1, x.size))
+    states = np.empty((n_steps + 1, x.size), dtype=x.dtype)
     states[0] = x
     for k in range(n_steps):
         k1 = rhs(x)
@@ -153,27 +156,8 @@ def integrate_ode(rhs, x0, t_max, dt):
 def integrate_linear_ode(A, x0, t_max, dt):
     """RK4 trajectory of dx/dt = A x (oracle companion to matrix_exponential)."""
     A = _check_matrix(A)
-    if np.iscomplexobj(A) or np.iscomplexobj(np.asarray(x0)):
-        Ac = np.asarray(A, dtype=complex)
-        x = np.asarray(x0, dtype=complex).copy()
-        n_steps = int(round(t_max / dt))
-        if dt <= 0 or t_max <= 0:
-            raise ValueError("dt and t_max must be positive")
-        times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-        states = np.empty((n_steps + 1, x.size), dtype=complex)
-        states[0] = x
-        for k in range(n_steps):
-            k1 = Ac @ x
-            k2 = Ac @ (x + 0.5 * dt * k1)
-            k3 = Ac @ (x + 0.5 * dt * k2)
-            k4 = Ac @ (x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
-                raise DivergenceError(
-                    f"state became non-finite at step {k + 1}", step=k + 1
-                )
-            states[k + 1] = x
-        return times, states
+    x0 = np.asarray(x0)
+    x0 = x0.astype(np.result_type(A.dtype, x0.dtype, float))
     return integrate_ode(lambda x: A @ x, x0, t_max, dt)
 
 
@@ -183,14 +167,12 @@ class QuadratureResult:
     error_estimate: float
 
 
-def quadrature(values, grid, rule="trapezoid"):
+def quadrature(values, grid):
     """Composite trapezoid integral of sampled values on an ascending grid.
 
     The error estimate comes from comparing against the every-other-point
     coarsening (Richardson: |I_h - I_2h| / 3).
     """
-    if rule != "trapezoid":
-        raise ValueError(f"unsupported rule {rule!r}")
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values)
     if grid.size < 2:

@@ -136,32 +136,14 @@ def params_from_dict(doc) -> SystemParams:
     )
 
 
+def params_meta(params, **extra):
+    """Metadata of a result: C, xi and N (when params are given) plus every
+    extra key whose value is not None."""
+    meta = {} if params is None else {"C": params.C, "xi": params.xi, "N": params.N}
+    meta.update({k: v for k, v in extra.items() if v is not None})
+    return meta
+
+
 def params_from_file(path) -> SystemParams:
     with open(path, "r", encoding="utf-8") as fh:
         return params_from_dict(json.load(fh))
-
-
-@dataclass(frozen=True)
-class TimeFrequencyScales:
-    """Dimensionless time/frequency conventions.
-
-    tau_bar = gamma * tau / 2, y = 2 (omega - omega0) / gamma, and the scaled
-    Laplace variable s_bar = 2 s / gamma. Spectrum evaluation always sits on
-    the imaginary axis, s_bar = -i y.
-    """
-
-    tau_bar: float | None = None
-    y: float | None = None
-    s_bar: complex | None = None
-
-    @staticmethod
-    def tau_bar_from_seconds(tau, gamma):
-        return 0.5 * gamma * tau
-
-    @staticmethod
-    def y_from_angular(omega, omega0, gamma):
-        return 2.0 * (omega - omega0) / gamma
-
-    @staticmethod
-    def s_bar_for_spectrum(y):
-        return -1j * y

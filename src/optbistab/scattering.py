@@ -15,6 +15,7 @@ import numpy as np
 
 from .covariance import CorrelationVector, resolvent_component
 from .numerics import TOL
+from .params import params_meta
 from .spectra import SpectrumSeries, resolvent_anchor
 
 
@@ -109,15 +110,6 @@ class PhaseSumStatistics:
     coherent_bound: float
     trials: int
     seed: int
-
-    def to_json_dict(self):
-        return {
-            "mean_abs": self.mean_abs,
-            "max_abs": self.max_abs,
-            "coherent_bound": self.coherent_bound,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
 
 
 def _unit_direction(rng):
@@ -246,6 +238,6 @@ def auxiliary_spectrum(params, X, channel: AuxiliaryChannel, y_grid) -> Spectrum
     values = resolvent_component(J, scaled_c0, -1j * y, comp).real / (np.pi * norm)
     return SpectrumSeries(
         y=y, values=values, kind="atomic", method="auxiliary-channel",
-        params={"C": params.C, "xi": params.xi, "N": params.N, "X": X,
-                "g_aux": channel.g_aux, "kappa_aux": channel.kappa_aux},
+        params=params_meta(params, X=X, g_aux=channel.g_aux,
+                           kappa_aux=channel.kappa_aux),
     )

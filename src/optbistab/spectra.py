@@ -26,11 +26,12 @@ from .lindyn import (
     build_diffusion,
     build_jacobian,
     is_stable,
+    regime_violation,
     saturation_factor,  # noqa: F401  (part of this module's public surface)
     weak_scales,
 )
 from .numerics import TOL, ConditioningError, quadrature
-from .steady_state import turning_points
+from .params import params_meta
 
 
 class UnstableOperatingPointError(ValueError):
@@ -92,12 +93,6 @@ class SpectrumSeries:
         v.flags.writeable = False
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "values", v)
-
-
-def _params_meta(params, **extra):
-    meta = {"C": params.C, "xi": params.xi, "N": params.N} if params is not None else {}
-    meta.update({k: v for k, v in extra.items() if v is not None})
-    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +179,8 @@ def _closed_form_guards(variant, params, X):
             msgs.append("strong-coupling form wants (xi+1) << 2 sqrt(2 C xi)")
     elif variant in ("upper-branch", "upper-forward-lorentzian",
                      "upper-forward-bad-cavity"):
-        if X is not None and params is not None and params.C > 4.0:
-            tp = turning_points(params.C)
-            if X <= TOL.strong_guard_frac * tp.X_plus:
-                msgs.append(f"upper-branch form at X={X:g}, not >> X_plus={tp.X_plus:g}")
+        if params is not None and (msg := regime_violation(params.C, X, "strong")):
+            msgs.append(msg)
         if variant == "upper-forward-lorentzian" and X is not None and X <= params.xi:
             msgs.append("Lorentzian forward form wants X >> xi")
         if variant == "upper-forward-bad-cavity" and X is not None and params.xi <= X:
@@ -224,7 +217,7 @@ def spectrum_closed_form(variant, params=None, X=None, y_grid=None) -> SpectrumS
     kind = "forward" if "forward" in variant else "atomic"
     return SpectrumSeries(
         y=y, values=values, kind=kind, method=variant,
-        params=_params_meta(params, X=X), validity_window=window,
+        params=params_meta(params, X=X), validity_window=window,
         warnings=warn_msgs,
     )
 
@@ -273,7 +266,7 @@ def spectrum_numeric(params, X, kind, y_grid) -> SpectrumSeries:
     values = resolvent_component(J, c0, -1j * y, comp).real / (np.pi * norm)
     return SpectrumSeries(
         y=y, values=values, kind=kind, method="numeric-resolvent",
-        params=_params_meta(params, X=X),
+        params=params_meta(params, X=X),
     )
 
 
@@ -321,51 +314,45 @@ def squeezing_spectrum_atomic(params, X, y_grid) -> SpectrumSeries:
     line center on the weakly excited lower branch.
     """
     y = np.asarray(y_grid, dtype=float)
-    _warn_weak_spectrum(params, X)
+    if msg := regime_violation(params.C, X, "weak"):
+        warnings.warn(msg, RegimeWarning, stacklevel=2)
     values = np.array(
         [anomalous_laplace("nu*nu*", params, X, -1j * yk).real for yk in y]
     )
     return SpectrumSeries(
         y=y, values=values, kind="squeezing", method="anomalous-laplace",
-        params=_params_meta(params, X=X),
+        params=params_meta(params, X=X),
     )
-
-
-def _warn_weak_spectrum(params, X):
-    if params.C > 4.0 and X > 0:
-        tp = turning_points(params.C)
-        if X >= TOL.weak_guard_frac * tp.X_minus:
-            warnings.warn(
-                f"weak-limit squeezing spectrum at X={X:g}, "
-                f"not << X_minus={tp.X_minus:g}",
-                RegimeWarning, stacklevel=3,
-            )
 
 
 # ---------------------------------------------------------------------------
 # certified normalization
 # ---------------------------------------------------------------------------
 
-def certified_area(evaluate, feature_scale, tail_power, tail_tol=1e-3,
-                   y_start=None, max_doublings=40):
+# certified tail bound, and the number of y_max doublings allowed to reach it
+_TAIL_TOL = 1e-3
+_MAX_DOUBLINGS = 40
+
+
+def certified_area(evaluate, feature_scale, tail_power):
     """Integrate a spectrum with an adaptively certified tail bound.
 
     `evaluate` maps a frequency array to spectrum values. The grid spans
     [-y_max, y_max] with a dense core around the features (width set by
     feature_scale) and log-spaced tails; y_max doubles until the analytic
     tail bound 2 * T(y_max) * y_max / (p - 1) for a |y|^-p tail certifies a
-    residual below tail_tol.
+    residual below _TAIL_TOL within _MAX_DOUBLINGS doublings.
 
     Returns dict with area, tail_bound, y_max and the quadrature error.
     """
     if tail_power < 2:
         raise ValueError("tail certification needs a decaying spectrum")
     core = max(10.0 * feature_scale, 10.0)
-    y_max = y_start if y_start is not None else 8.0 * core
-    for _ in range(max_doublings):
+    y_max = 8.0 * core
+    for _ in range(_MAX_DOUBLINGS):
         edge = float(abs(evaluate(np.array([y_max]))[0]))
         tail = 2.0 * edge * y_max / (tail_power - 1.0)
-        if tail < tail_tol:
+        if tail < _TAIL_TOL:
             break
         y_max *= 2.0
     else:
@@ -384,8 +371,7 @@ def certified_area(evaluate, feature_scale, tail_power, tail_tol=1e-3,
     }
 
 
-def verify_unit_area(series_or_callable, variant, params=None, X=None,
-                     tail_tol=1e-3):
+def verify_unit_area(series_or_callable, variant, params=None, X=None):
     """Certified unit-area check for a spectrum variant.
 
     Accepts a closed-form variant name together with its parameters, or
@@ -416,4 +402,4 @@ def verify_unit_area(series_or_callable, variant, params=None, X=None,
         elif variant == "upper-forward-lorentzian":
             feature = max(1.0, params.xi)
     power = TAIL_POWER[variant]
-    return certified_area(evaluate, feature, power, tail_tol=tail_tol)
+    return certified_area(evaluate, feature, power)

@@ -1,12 +1,14 @@
 """End-to-end CLI behavior: files, formats, exit codes, reproducibility."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from optbistab import cli
+from optbistab import cli, correlations, scattering, steady_state
 from optbistab.numerics import NumericsError
+from optbistab.params import SystemParams
 
 
 def read_csv(path):
@@ -139,6 +141,14 @@ class TestG2Command:
                        "--xi", "1.3", "--N", "10", "--out", str(tmp_path / "g")])
         assert rc == 4
 
+    @pytest.mark.parametrize("taumax", ["-6", "0"])
+    def test_nonpositive_taumax_is_usage_error(self, tmp_path, taumax):
+        rc = cli.main(["g2", "--variant", "numeric", "--C", "5", "--xi", "1",
+                       "--N", "100", "--X", "0.01", "--taumax", taumax,
+                       "--out", str(tmp_path / "g")])
+        assert rc == 2
+        assert not (tmp_path / "g.csv").exists()
+
     def test_needs_atom_number(self, tmp_path):
         rc = cli.main(["g2", "--variant", "atomic-weak", "--C", "5", "--xi", "1",
                        "--out", str(tmp_path / "g")])
@@ -177,6 +187,68 @@ class TestScatterCommand:
         _, header, rows = read_csv(f"{out}.csv")
         assert header[0] == "flux"
         assert float(rows[0][0]) == pytest.approx((3 / (8 * np.pi)) * 0.125, rel=1e-9)
+
+
+def _cell(text):
+    if text in ("true", "false"):
+        return text == "true"
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _parse_back(path):
+    """Records of a written file as a list of {column: value} dicts."""
+    if path.suffix == ".csv":
+        _, header, rows = read_csv(path)
+        return [dict(zip(header, map(_cell, row))) for row in rows]
+    doc = json.loads(path.read_text())
+    assert isinstance(doc["meta"], dict) and doc["warnings"] == []
+    if "rows" in doc:
+        return [dict(zip(doc["columns"], row)) for row in doc["rows"]]
+    return [{k: v for k, v in doc.items() if k not in ("meta", "tool", "warnings")}]
+
+
+def _points(points):
+    return [{"X": pt.X, "Y": pt.Y, "branch": pt.branch} for pt in points]
+
+
+def _phase_sum():
+    positions = scattering.sample_positions_cube(100, 50.0, seed=7)
+    geom = scattering.ScatterGeometry(positions=positions, rng_seed=7)
+    return [dataclasses.asdict(scattering.phase_sum_monte_carlo(geom, 200))]
+
+
+P51 = SystemParams(C=5.0, xi=1.0, N=1)
+WRITER_CASES = {
+    "solve-csv": (["solve", "--C", "5", "--y", "6"],
+                  lambda: _points(steady_state.solve_state_equation(5.0, 6.0))),
+    "solve-json": (["solve", "--C", "5", "--y", "6"],
+                   lambda: _points(steady_state.solve_state_equation(5.0, 6.0))),
+    "curve-json": (["curve", "--C", "5", "--xmax", "5", "--points", "50"],
+                   lambda: [dict(zip(("X", "Y", "branch"), r))
+                            for r in steady_state.curve_points(5.0, 5.0, n=50)[0]]),
+    "squeeze-csv": (["squeeze", "--C", "5", "--xi", "1", "--X", "0.05"],
+                    lambda: [dataclasses.asdict(
+                        correlations.quadrature_variances(P51, 0.05))]),
+    "scatter-json": (["scatter", "--C", "5", "--xi", "1", "--X", "1"],
+                     lambda: [dataclasses.asdict(
+                         scattering.side_flux(P51, 1.0, np.pi / 2, 1e-3))]),
+    "phase-sum-csv": (["scatter", "--phase-sum", "--N", "100", "--trials", "200",
+                       "--seed", "7"], _phase_sum),
+}
+
+
+class TestWriters:
+    @pytest.mark.parametrize("case", WRITER_CASES)
+    def test_file_parses_back_to_result(self, tmp_path, capsys, case):
+        argv, expected = WRITER_CASES[case]
+        fmt = case.rsplit("-", 1)[1]
+        assert cli.main(argv + ["--format", fmt, "--out", str(tmp_path / case)]) == 0
+        path = tmp_path / f"{case}.{fmt}"
+        assert capsys.readouterr().out == f"{path}\n"
+        assert _parse_back(path) == expected()
 
 
 class TestPresets:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from optbistab.correlations import (
+    G2_VARIANTS,
     anomalous_correlator_time,
     g2_closed_form,
     g2_numeric,
@@ -154,6 +155,22 @@ class TestNumericRoute:
     def test_unstable_point_rejected(self, p51):
         with pytest.raises(ValueError, match="not stable"):
             g2_numeric(p51, 2.0, TAUS)
+
+
+class TestNegativeDelays:
+    """g2 is even in the delay, so exp(J tau) at tau < 0 is not g2(-tau): a
+    negative delay is rejected, as evolve_correlation_vector rejects it."""
+
+    @pytest.mark.parametrize("grid", [[-1.0, -2.0], [0.0, 0.5, -0.5]])
+    def test_numeric(self, p51, grid):
+        with pytest.raises(ValueError, match="tau_bar must be nonnegative"):
+            g2_numeric(p51, 0.01, np.array(grid))
+
+    @pytest.mark.parametrize("variant", G2_VARIANTS)
+    def test_closed_form(self, variant):
+        p = from_raw_rates(1.0, 5.0, 10.0, 100, unit="MHz")  # xi = 1, C = 2
+        with pytest.raises(ValueError, match="tau_bar must be nonnegative"):
+            g2_closed_form(variant, p, X=0.05, tau_bar_grid=np.array([-1.0, -2.0]))
 
 
 class TestAnomalousCorrelator:

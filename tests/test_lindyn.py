@@ -1,17 +1,28 @@
 """Drift/diffusion construction and derived spectral scales."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from optbistab.correlations import (
+    anomalous_correlator_time,
+    g2_closed_form,
+    quadrature_variances,
+)
+from optbistab.covariance import strong_covariance_closed, weak_covariance_row
 from optbistab.lindyn import (
     RegimeWarning,
     build_diffusion,
     build_jacobian,
     is_stable,
+    regime_violation,
     saturation_factor,
     weak_scales,
 )
 from optbistab.params import SystemParams, from_raw_rates
+from optbistab.spectra import spectrum_closed_form, squeezing_spectrum_atomic
+from optbistab.steady_state import turning_points
 
 
 @pytest.fixture
@@ -75,6 +86,69 @@ class TestJacobian:
             warnings.simplefilter("error")
             build_jacobian(p, 5.0, "weak")
             build_jacobian(p, 0.1, "strong")
+
+
+def _guard_points():
+    """The guard edges at C = 20 (0.1 X_minus and 3 X_plus) with a point on
+    either side, and points at and below the bistability threshold."""
+    tp = turning_points(20.0)
+    points = [(20.0, f * tp.X_minus) for f in (0.05, 0.1, 0.2)]
+    points += [(20.0, f * tp.X_plus) for f in (2.9, 3.0, 3.1)]
+    points += [(C, X) for C in (4.0, 3.0) for X in (0.05, 1.0, 20.0)]
+    return points
+
+
+_GRID = np.linspace(-5.0, 5.0, 11)
+_TAUS = np.linspace(0.0, 2.0, 5)
+_WEAK_SITES = {
+    "build_jacobian": lambda p, X: build_jacobian(p, X, "weak"),
+    "weak_covariance_row": weak_covariance_row,
+    "anomalous_correlator_time": lambda p, X: anomalous_correlator_time(p, X, _TAUS),
+    "g2_closed_form": lambda p, X: g2_closed_form("atomic-weak", p, X=X,
+                                                  tau_bar_grid=_TAUS),
+    "squeezing_spectrum_atomic": lambda p, X: squeezing_spectrum_atomic(p, X, _GRID),
+}
+_STRONG_SITES = {
+    "build_jacobian": lambda p, X: build_jacobian(p, X, "strong"),
+    "strong_covariance_closed": strong_covariance_closed,
+    "upper-branch": lambda p, X: spectrum_closed_form("upper-branch", p, X=X,
+                                                      y_grid=_GRID),
+    "upper-forward-lorentzian": lambda p, X: spectrum_closed_form(
+        "upper-forward-lorentzian", p, X=X, y_grid=_GRID),
+}
+
+
+def _guard_messages(site, p, X):
+    """Regime-guard warnings of one call: those naming a turning amplitude
+    (other guards, e.g. the Lorentzian's X >> xi, are left out)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        site(p, X)
+    return [str(w.message) for w in caught if issubclass(w.category, RegimeWarning)
+            and ("X_minus" in str(w.message) or "X_plus" in str(w.message))]
+
+
+class TestRegimeGuard:
+    @pytest.mark.parametrize("C,X", _guard_points(),
+                             ids=lambda v: f"{v:.6g}")
+    def test_every_site_follows_the_shared_guard(self, C, X):
+        p = SystemParams(C=C, xi=1.0, N=10**4)
+        for regime, sites in (("weak", _WEAK_SITES), ("strong", _STRONG_SITES)):
+            msg = regime_violation(C, X, regime)
+            want = [msg] if msg is not None else []
+            for name, site in sites.items():
+                assert _guard_messages(site, p, X) == want, (regime, name)
+        weak_silent = not _guard_messages(weak_covariance_row, p, X)
+        assert (quadrature_variances(p, X).method == "weak-closed") == weak_silent
+
+    def test_edges(self):
+        tp = turning_points(20.0)
+        assert regime_violation(20.0, 0.1 * tp.X_minus, "weak") is not None
+        assert regime_violation(20.0, 0.05 * tp.X_minus, "weak") is None
+        assert regime_violation(20.0, 3.0 * tp.X_plus, "strong") is not None
+        assert regime_violation(20.0, 3.1 * tp.X_plus, "strong") is None
+        assert regime_violation(20.0, None, "weak") is None
+        assert regime_violation(4.0, 100.0, "weak") is None
 
 
 class TestDiffusion:

@@ -9,7 +9,6 @@ import pytest
 from optbistab.params import (
     ParameterError,
     SystemParams,
-    TimeFrequencyScales,
     from_raw_rates,
     params_from_dict,
     params_from_file,
@@ -103,15 +102,3 @@ class TestParameterFiles:
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"C": 5, "xi": 1, "N": 100}))
         assert params_from_file(path).C == 5.0
-
-
-class TestScales:
-    def test_tau_bar(self):
-        assert TimeFrequencyScales.tau_bar_from_seconds(2.0, 3.0) == 3.0
-
-    def test_spectrum_axis_is_imaginary(self):
-        s = TimeFrequencyScales.s_bar_for_spectrum(2.5)
-        assert s == -2.5j and s.real == 0.0
-
-    def test_y_offset(self):
-        assert TimeFrequencyScales.y_from_angular(11.0, 10.0, 2.0) == 1.0
