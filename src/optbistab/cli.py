@@ -50,13 +50,19 @@ def _add_io_flags(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def resolve_params(args, need_N=False):
-    """Build SystemParams from --params or inline flags (exactly one source)."""
+def _param_sources(args):
+    """Whether --params, inline C/xi and inline rates were given, in that order."""
     inline_dimless = args.C is not None or args.xi is not None
     inline_rates = any(
         getattr(args, k) is not None for k in ("g_mhz", "kappa_mhz", "gamma_mhz")
     )
-    sources = sum([args.params is not None, inline_dimless, inline_rates])
+    return args.params is not None, inline_dimless, inline_rates
+
+
+def resolve_params(args, need_N=False):
+    """Build SystemParams from --params or inline flags (exactly one source)."""
+    from_file, inline_dimless, inline_rates = _param_sources(args)
+    sources = from_file + inline_dimless + inline_rates
     if sources == 0:
         raise UsageError("no parameter source: use --params or inline flags")
     if sources > 1:
@@ -194,12 +200,8 @@ def _pick_operating_point(params, args):
 def cmd_spectrum(args):
     if args.preset:
         return cmd_preset(args)
-    if args.method == "upper-branch":
-        # the upper-branch shape depends only on X
-        try:
-            params = resolve_params(args)
-        except UsageError:
-            params = None
+    if args.method == "upper-branch" and not any(_param_sources(args)):
+        params = None  # the upper-branch shape depends only on X
     else:
         params = resolve_params(args)
     if args.branch == "unstable-middle":

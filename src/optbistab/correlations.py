@@ -87,7 +87,8 @@ def _sin_over(G, t):
 
 
 def _delays(tau_bar_grid):
-    # g2 is even in the delay; a negative one is a caller error, not exp(J tau)
+    # the correlators here are defined for tau >= 0 (g2 is even in the delay);
+    # a negative delay is a caller error, not exp(J tau)
     t = np.asarray(tau_bar_grid, dtype=float)
     if np.any(t < 0):
         raise ValueError("tau_bar must be nonnegative")
@@ -106,12 +107,12 @@ def anomalous_correlator_time(params, X, tau_bar):
 
     Decaying oscillation at the vacuum Rabi frequency under the envelope
     exp(-(xi+1) tau_bar / 2); equals the equal-time anomalous entry of the
-    weak covariance row at tau_bar = 0.
+    weak covariance row at tau_bar = 0. Delays must be nonnegative.
     """
+    t = _delays(tau_bar)
     if msg := regime_violation(params.C, X, "weak"):
         warnings.warn(msg, RegimeWarning, stacklevel=2)
     two_C, xi = 2.0 * params.C, params.xi
-    t = np.asarray(tau_bar, dtype=float)
     G = weak_scales(params, X).G_bar
     pre = -X * X / ((xi + 1.0) * (1.0 + two_C))
     env = np.exp(-0.5 * (xi + 1.0) * t)
@@ -148,6 +149,7 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
                        "single-atom-pure-state")
     if weak and (msg := regime_violation(params.C, X, "weak")):
         warnings.warn(msg, RegimeWarning, stacklevel=2)
+        warn_msgs.append(msg)
     if variant == "atomic-strong":
         if X is None:
             raise ValueError("atomic-strong requires X")

@@ -204,22 +204,74 @@ def evolve_correlation_vector(J: FluctuationMatrix, c0: CorrelationVector,
 _RESOLVENT_BLOCK = 256
 
 
-def _resolve_block(J, eigvals, b, s):
+def _eigenbasis_bound(J):
+    """(w, kappa, r) with sigma_min(s I - J) >= min_k |s - w_k| / kappa - r.
+
+    From the computed eigenpairs J V = V diag(w) + R: then
+    s I - J = V (s I - diag(w)) V^-1 - R V^-1, so kappa = cond_2(V) and
+    r = ||R||_F / sigma_min(V), with R widened by the rounding of its own
+    evaluation. Returns None, proving nothing, when V is singular or not finite.
+    """
+    try:
+        w, V = np.linalg.eig(J)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(V)):
+        return None
+    sv = np.linalg.svd(V, compute_uv=False)
+    if not sv[-1] > 0:
+        return None
+    R = J @ V - V * w
+    rounding = (J.shape[0] + 4) * np.finfo(float).eps * (
+        np.abs(J) @ np.abs(V) + np.abs(V) * np.abs(w)
+    )
+    r = (np.linalg.norm(R) + np.linalg.norm(rounding)) / sv[-1]
+    return w, sv[0] / sv[-1], r
+
+
+def _uncertified(certificate, s, floor):
+    """Indices of the points s whose singular-value floor the bound cannot clear.
+
+    A point is certified when the eigenbasis lower bound on sigma_min(s I - J)
+    exceeds twice its floor, the factor 2 covering rounding in the condition
+    number and the gap.
+    """
+    if certificate is None:
+        return np.arange(s.size)
+    w, kappa, r = certificate
+    lower = np.min(np.abs(w[None, :] - s[:, None]), axis=1) / kappa - r
+    return np.flatnonzero(~(lower > 2.0 * floor))
+
+
+def _condition(A):
+    """2-norm condition number of one matrix, inf when it is singular."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    return np.inf if sv[-1] == 0 else sv[0] / sv[-1]
+
+
+def _resolve_block(J, spectrum, b, s):
     """Solve (s_k I - J) x_k = b for one block of points s, as an (m, 5) array.
 
     Runs the checks of a point-by-point laplace_correlation_vector loop on the
     whole block at once: the pole gap against the drift eigenvalues, then the
-    singular-value test and residual bound of solve_complex_linear. An error
-    names the first point that fails, with the type that loop would raise.
+    singular-value test and residual bound of solve_complex_linear. The
+    stacked SVD of the singular-value test runs only on the points the
+    eigenbasis bound cannot certify; the verdict is the same. An error names
+    the first point that fails, with the type that loop would raise.
     """
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(b))):
         raise ValueError("resolvent inputs contain NaN/Inf entries")
+    eigvals, certificate = spectrum
     gaps = np.min(np.abs(eigvals[None, :] - s[:, None]), axis=1)
     A = s[:, None, None] * np.eye(5, dtype=complex) - J
     norm_A = np.abs(A).sum(axis=2).max(axis=1)
-    sv = np.linalg.svd(A, compute_uv=False)
+    floor = TOL.singular_rel * np.maximum(norm_A, 1e-300)
+    unsure = _uncertified(certificate, s, floor)
+    singular = np.zeros(s.size, dtype=bool)
+    if unsure.size:
+        sv_min = np.linalg.svd(A[unsure], compute_uv=False)[:, -1]
+        singular[unsure] = sv_min <= floor[unsure]
     near_pole = gaps < TOL.resolvent_pole_gap
-    singular = sv[:, -1] <= TOL.singular_rel * np.maximum(norm_A, 1e-300)
     bad = np.flatnonzero(near_pole | singular)
     m = bad[0] if bad.size else s.size
     x = np.linalg.solve(A[:m], b[:, None])[..., 0]
@@ -230,7 +282,7 @@ def _resolve_block(J, eigvals, b, s):
     failed = np.flatnonzero(resid > np.maximum(bound, 1e-300))
     if failed.size:
         k = failed[0]
-        cond = sv[k, 0] / sv[k, -1]
+        cond = _condition(A[k])
         raise ConditioningError(
             f"linear solve residual {resid[k]:.3e} exceeds bound {bound[k]:.3e} "
             f"at s_bar={s[k]:g} (condition ~ {cond:.3e})",
@@ -241,7 +293,7 @@ def _resolve_block(J, eigvals, b, s):
             raise ConditioningError(
                 f"s_bar={s[m]:g} is within {gaps[m]:.3e} of a drift eigenvalue"
             )
-        cond = np.inf if sv[m, -1] == 0 else sv[m, 0] / sv[m, -1]
+        cond = _condition(A[m])
         raise SingularMatrixError(
             f"resolvent at s_bar={s[m]:g} is numerically singular "
             f"(condition ~ {cond:.3e})",
@@ -250,10 +302,12 @@ def _resolve_block(J, eigvals, b, s):
     return x
 
 
-def _drift_eigvals(J):
+def _drift_spectrum(J):
+    """The drift eigenvalues for the pole-gap test and the eigenbasis bound."""
     if J.kind != "jacobian":
         raise ValueError("expected a jacobian")
-    return np.linalg.eigvals(J.entries.astype(complex))
+    eigvals = np.linalg.eigvals(J.entries.astype(complex))
+    return eigvals, _eigenbasis_bound(J.entries)
 
 
 def resolvent_component(J: FluctuationMatrix, c0: CorrelationVector, s_bar,
@@ -265,13 +319,13 @@ def resolvent_component(J: FluctuationMatrix, c0: CorrelationVector, s_bar,
     the one component, so memory does not grow with five per point. Returns
     an (n,) complex array.
     """
-    eigvals = _drift_eigvals(J)
+    spectrum = _drift_spectrum(J)
     s = np.atleast_1d(np.asarray(s_bar, dtype=complex))
     k = IDX[comp]
     out = np.empty(s.size, dtype=complex)
     for start in range(0, s.size, _RESOLVENT_BLOCK):
         block = slice(start, start + _RESOLVENT_BLOCK)
-        out[block] = _resolve_block(J.entries, eigvals, c0.entries, s[block])[:, k]
+        out[block] = _resolve_block(J.entries, spectrum, c0.entries, s[block])[:, k]
     return out
 
 
@@ -283,5 +337,5 @@ def laplace_correlation_vector(J: FluctuationMatrix, c0: CorrelationVector,
     a drift eigenvalue.
     """
     s = complex(s_bar)
-    x = _resolve_block(J.entries, _drift_eigvals(J), c0.entries, np.array([s]))[0]
+    x = _resolve_block(J.entries, _drift_spectrum(J), c0.entries, np.array([s]))[0]
     return CorrelationVector(row=c0.row, entries=x, s_bar=s)

@@ -116,6 +116,27 @@ class TestSpectrumCommand:
         assert "warnings" in doc
         assert doc["columns"] == ["y", "T"]
 
+    def test_upper_branch_conflicting_sources_is_usage_error(self, tmp_path):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps({"C": 20, "xi": 1, "N": 1}))
+        rc = cli.main(["spectrum", "--method", "upper-branch", "--X", "5",
+                       "--C", "20", "--xi", "1", "--params", str(pfile),
+                       "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_upper_branch_params_file_keeps_regime_guard(self, tmp_path):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps({"C": 20, "xi": 1, "N": 1}))
+        out = tmp_path / "s.json"
+        with pytest.warns(Warning, match="strong-excitation form at X=5"):
+            rc = cli.main(["spectrum", "--method", "upper-branch", "--X", "5",
+                           "--params", str(pfile), "--points", "11",
+                           "--format", "json", "--out", str(out)])
+        assert rc == 0
+        warns = json.loads(out.read_text())["warnings"]
+        assert any(w.startswith("strong-excitation form at X=5") for w in warns)
+
 
 class TestG2Command:
     def test_preset_fig2a(self, tmp_path):
@@ -135,6 +156,19 @@ class TestG2Command:
                        "--xi", "0.176", "--N", "310", "--taumax", "4",
                        "--points", "101", "--out", str(out)])
         assert rc == 0
+
+    def test_weak_regime_warning_recorded(self, tmp_path):
+        args = ["g2", "--variant", "atomic-weak", "--C", "40", "--xi", "0.176",
+                "--N", "310", "--X", "2", "--points", "11"]
+        with pytest.warns(Warning, match="weak-excitation form at X=2"):
+            assert cli.main(args + ["--format", "json",
+                                    "--out", str(tmp_path / "g.json")]) == 0
+            assert cli.main(args + ["--out", str(tmp_path / "g")]) == 0
+        warns = json.loads((tmp_path / "g.json").read_text())["warnings"]
+        assert [w.startswith("weak-excitation form at X=2") for w in warns] == [True]
+        notes = [line for line in (tmp_path / "g.csv").read_text().splitlines()
+                 if line.startswith("# warning: ")]
+        assert notes == ["# warning: " + warns[0]]
 
     def test_impedance_mismatch_is_regime_error(self, tmp_path):
         rc = cli.main(["g2", "--variant", "atomic-impedance", "--C", "5",

@@ -172,6 +172,11 @@ class TestNegativeDelays:
         with pytest.raises(ValueError, match="tau_bar must be nonnegative"):
             g2_closed_form(variant, p, X=0.05, tau_bar_grid=np.array([-1.0, -2.0]))
 
+    @pytest.mark.parametrize("tau", [-1.0, np.array([0.0, 1.0, -1.0])])
+    def test_anomalous_correlator(self, p51, tau):
+        with pytest.raises(ValueError, match="tau_bar must be nonnegative"):
+            anomalous_correlator_time(p51, 0.01, tau)
+
 
 class TestAnomalousCorrelator:
     def test_zero_delay_continuity(self, p51):

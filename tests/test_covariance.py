@@ -1,9 +1,13 @@
 """Stationary covariance, closed-form rows, and correlation propagation."""
 
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import full_system, oracle_covariance_kron, oracle_covariance_scipy
 from optbistab import covariance as covariance_mod
@@ -18,14 +22,24 @@ from optbistab.covariance import (
     strong_covariance_closed,
     weak_covariance_row,
 )
-from optbistab.lindyn import IDX, RegimeWarning, build_diffusion, build_jacobian
+from optbistab.lindyn import (
+    IDX,
+    FluctuationMatrix,
+    RegimeWarning,
+    build_diffusion,
+    build_jacobian,
+    is_stable,
+)
 from optbistab.numerics import (
+    TOL,
     ConditioningError,
+    SingularMatrixError,
     integrate_linear_ode,
     quadrature,
     solve_complex_linear,
 )
 from optbistab.params import SystemParams
+from optbistab.steady_state import turning_points
 
 
 @pytest.fixture
@@ -293,6 +307,106 @@ class TestResolventComponent:
         ref = np.array([laplace_correlation_vector(J, c0, sk)["nu"] for sk in s])
         assert got.shape == (n,)
         assert np.array_equal(got, ref)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _operating_points(draw):
+    """(C, xi, X) on the wide grid, at the turning points or at the
+    exceptional point 2 C xi = (xi - 1)^2 / 4."""
+    where = draw(st.sampled_from(["grid", "turning", "exceptional"]))
+    xi = draw(_log_uniform(1e-3, 1e4))
+    if where == "exceptional":
+        C = (xi - 1.0) ** 2 / (8.0 * xi)
+        assume(0.1 <= C <= 1e4)
+    else:
+        C = draw(_log_uniform(0.1, 1e4))
+    if where == "turning":
+        assume(C > 4.0)
+        tp = turning_points(C)
+        edge = draw(st.sampled_from([tp.X_minus, tp.X_plus]))
+        X = edge * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * draw(_log_uniform(1e-9, 1e-2)))
+    else:
+        X = draw(_log_uniform(1e-4, 1e3))
+    return C, xi, X
+
+
+def _resolvent_grid(J):
+    """Frequencies across the drift's scales, including every eigenvalue's
+    own frequency, where the gap to a pole is smallest."""
+    eig = np.linalg.eigvals(J.entries)
+    core = 10.0 * max(1.0, np.max(np.abs(eig)))
+    tail = np.geomspace(core, 64.0 * core, 40)
+    y = np.concatenate([-tail[::-1], np.linspace(-core, core, 401), tail, eig.imag])
+    return -1j * y
+
+
+def _run(J, c0, s, comp):
+    try:
+        return resolvent_component(J, c0, s, comp)
+    except (ConditioningError, SingularMatrixError) as exc:
+        return type(exc), str(exc)
+
+
+def _svd_everywhere(J, c0, s, comp):
+    with mock.patch.object(covariance_mod, "_eigenbasis_bound", lambda J: None):
+        return _run(J, c0, s, comp)
+
+
+def _assert_same_outcome(got, ref):
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
+
+
+class TestSingularValueCertificate:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(_operating_points(), st.sampled_from([("nu*", "nu"), ("z*", "z")]))
+    def test_certificate_keeps_the_svd_verdict(self, point, anchor):
+        C, xi, X = point
+        J, D = full_system(SystemParams(C=C, xi=xi, N=1), X)
+        assume(is_stable(J))
+        row, comp = anchor
+        # anchor on scipy's covariance, independent of the package's solver;
+        # it warns near the turning points, where an eigenvalue nears zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cov = oracle_covariance_scipy(J.entries, D.entries)
+        c0 = CorrelationVector(row=row, entries=cov[IDX[row]])
+        s = _resolvent_grid(J)
+
+        A = s[:, None, None] * np.eye(5) - J.entries
+        floor = TOL.singular_rel * np.maximum(np.abs(A).sum(axis=2).max(axis=1), 1e-300)
+        certificate = covariance_mod._eigenbasis_bound(J.entries)
+        certified = np.ones(s.size, dtype=bool)
+        certified[covariance_mod._uncertified(certificate, s, floor)] = False
+        sv_min = np.linalg.svd(A[certified], compute_uv=False)[:, -1]
+        assert np.all(sv_min > floor[certified])
+
+        _assert_same_outcome(_run(J, c0, s, comp), _svd_everywhere(J, c0, s, comp))
+
+    def test_non_normal_drift_still_raises_singular(self):
+        # -1 on the diagonal, 1e4 above it: sigma_min(s I - J) ~ |s + 1|^5 / 1e16,
+        # so s I - J is numerically singular for |s + 1| up to about 15, far
+        # from the only eigenvalue -1
+        J = FluctuationMatrix(-np.eye(5) + 1e4 * np.eye(5, k=1), kind="jacobian")
+        c0 = CorrelationVector(row="nu*", entries=np.ones(5))
+        s = -1j * np.linspace(-50.0, 50.0, 301)
+        A = s[:, None, None] * np.eye(5) - J.entries
+        floor = TOL.singular_rel * np.abs(A).sum(axis=2).max(axis=1)
+        first = np.flatnonzero(np.linalg.svd(A, compute_uv=False)[:, -1] <= floor)[0]
+        assert abs(s[first] + 1.0) > 10.0
+        named = re.escape(f"s_bar={s[first]:g} ")
+        with pytest.raises(SingularMatrixError, match=named):
+            resolvent_component(J, c0, s, "nu")
+        with pytest.raises(SingularMatrixError, match=named):
+            laplace_correlation_vector(J, c0, s[first])
+        _assert_same_outcome(_run(J, c0, s, "nu"), _svd_everywhere(J, c0, s, "nu"))
 
 
 class TestCorrelationVector:
