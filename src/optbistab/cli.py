@@ -6,8 +6,8 @@ is CSV (default) or JSON with the resolved parameters and tool version
 embedded, so reruns reproduce files byte-for-byte at a fixed seed.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 regime-validity
-hard error. Warnings go to stderr for CSV runs and into a "warnings" array
-for JSON runs.
+hard error. Recorded warnings go into the CSV notes or the JSON "warnings"
+array. Every warning reaches stderr once, as a "warning: ..." line.
 """
 
 import argparse
@@ -106,7 +106,7 @@ def _emit_record(args, stem, meta, columns=None, rows=None, record=None,
     if args.format == "csv":
         output.write_csv(path, columns, rows, meta=meta, warnings_list=warn_msgs)
         for w in warn_msgs:
-            print(f"warning: {w}", file=sys.stderr)
+            _print_warning(args, w)
     elif record is None:
         output.write_json(path, {"meta": meta, "columns": list(columns),
                                  "rows": [list(r) for r in rows],
@@ -114,6 +114,13 @@ def _emit_record(args, stem, meta, columns=None, rows=None, record=None,
     else:
         output.write_json(path, {"meta": meta, **record, "warnings": list(warn_msgs)})
     print(path)
+
+
+def _print_warning(args, message):
+    """Write `message` to stderr as a warning line, once per run."""
+    if message not in args.warned:
+        args.warned.add(message)
+        print(f"warning: {message}", file=sys.stderr)
 
 
 def _emit_series(args, label_series, warn_msgs=(), always_suffix=False):
@@ -383,10 +390,20 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    args.warned = set()
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always")
+        rc = _run(args)
+    # a warning already printed with a CSV's notes is not printed again
+    for w in caught:
+        _print_warning(args, str(w.message))
+    return rc
+
+
+def _run(args):
+    """Run the chosen command; map its failure to an exit code."""
     try:
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("always")
-            rc = args.func(args)
+        rc = args.func(args)
         return rc if isinstance(rc, int) else EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -302,12 +302,11 @@ def _resolve_block(J, spectrum, b, s):
     return x
 
 
-def _drift_spectrum(J):
-    """The drift eigenvalues for the pole-gap test and the eigenbasis bound."""
+def _drift_eigenvalues(J):
+    """The drift eigenvalues for the pole-gap test."""
     if J.kind != "jacobian":
         raise ValueError("expected a jacobian")
-    eigvals = np.linalg.eigvals(J.entries.astype(complex))
-    return eigvals, _eigenbasis_bound(J.entries)
+    return np.linalg.eigvals(J.entries.astype(complex))
 
 
 def resolvent_component(J: FluctuationMatrix, c0: CorrelationVector, s_bar,
@@ -319,7 +318,7 @@ def resolvent_component(J: FluctuationMatrix, c0: CorrelationVector, s_bar,
     the one component, so memory does not grow with five per point. Returns
     an (n,) complex array.
     """
-    spectrum = _drift_spectrum(J)
+    spectrum = (_drift_eigenvalues(J), _eigenbasis_bound(J.entries))
     s = np.atleast_1d(np.asarray(s_bar, dtype=complex))
     k = IDX[comp]
     out = np.empty(s.size, dtype=complex)
@@ -337,5 +336,7 @@ def laplace_correlation_vector(J: FluctuationMatrix, c0: CorrelationVector,
     a drift eigenvalue.
     """
     s = complex(s_bar)
-    x = _resolve_block(J.entries, _drift_spectrum(J), c0.entries, np.array([s]))[0]
+    # one point: its SVD costs less than the eigenbasis bound that would spare it
+    spectrum = (_drift_eigenvalues(J), None)
+    x = _resolve_block(J.entries, spectrum, c0.entries, np.array([s]))[0]
     return CorrelationVector(row=c0.row, entries=x, s_bar=s)

@@ -153,14 +153,6 @@ def integrate_ode(rhs, x0, t_max, dt):
     return times, states
 
 
-def integrate_linear_ode(A, x0, t_max, dt):
-    """RK4 trajectory of dx/dt = A x (oracle companion to matrix_exponential)."""
-    A = _check_matrix(A)
-    x0 = np.asarray(x0)
-    x0 = x0.astype(np.result_type(A.dtype, x0.dtype, float))
-    return integrate_ode(lambda x: A @ x, x0, t_max, dt)
-
-
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float

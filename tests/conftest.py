@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's own code paths: the
 stationary covariance is cross-checked against scipy's Bartels-Stewart
 solver and against a 25-unknown Kronecker-product solve, and propagators
-against series expansion / RK4.
+against series expansion / RK4. The Maxwell-Bloch reference runs the
+vector RK4 of `numerics.integrate_ode` on a numpy right-hand side, the form
+the scalar kernel in `steady_state` must reproduce bit for bit.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from scipy.linalg import solve_lyapunov as scipy_lyapunov
 
 from optbistab import params as params_mod
 from optbistab.lindyn import build_diffusion, build_jacobian
+from optbistab.numerics import integrate_ode
 
 
 @pytest.fixture
@@ -42,3 +45,29 @@ def full_system(params, X):
     J = build_jacobian(params, X, regime="full")
     D = build_diffusion(X)
     return J, D
+
+
+def integrate_linear_ode(A, x0, t_max, dt):
+    """RK4 trajectory of dx/dt = A x (oracle companion to matrix_exponential)."""
+    A = np.asarray(A)
+    x0 = np.asarray(x0)
+    x0 = x0.astype(np.result_type(A.dtype, x0.dtype, float))
+    return integrate_ode(lambda x: A @ x, x0, t_max, dt)
+
+
+def reference_maxwell_bloch(params, Y, initial, tau_bar_max, dt=1e-3):
+    """Maxwell-Bloch trajectory by the vector RK4 on a numpy right-hand side
+    over (<a>, <a_dag>, <J_minus>, <J_plus>, <J_z>)."""
+    two_C, xi = 2.0 * params.C, params.xi
+
+    def rhs(state):
+        a, ad, jm, jp, jz = state
+        return np.array([
+            xi * (-a + two_C * jm + Y),
+            xi * (-ad + two_C * jp + Y),
+            -jm + jz * a,
+            -jp + jz * ad,
+            -2.0 * (jz + 1.0) - (jp * a + jm * ad),
+        ])
+
+    return integrate_ode(rhs, np.asarray(initial, dtype=float), tau_bar_max, dt)

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +35,13 @@ def read_csv(path):
 
 def numeric_rows(rows, cols=(0, 1)):
     return np.array([[float(r[c]) for c in cols] for r in rows])
+
+
+def warning_lines(err, text):
+    """The stderr lines naming `text`; each must be the CLI's own warning line."""
+    lines = [line for line in err.splitlines() if text in line]
+    assert all(line.startswith("warning: ") for line in lines), lines
+    return lines
 
 
 class TestCurveAndSolve:
@@ -125,15 +135,16 @@ class TestSpectrumCommand:
         assert rc == 2
         assert not (tmp_path / "s.csv").exists()
 
-    def test_upper_branch_params_file_keeps_regime_guard(self, tmp_path):
+    def test_upper_branch_params_file_keeps_regime_guard(self, tmp_path, capsys):
         pfile = tmp_path / "p.json"
         pfile.write_text(json.dumps({"C": 20, "xi": 1, "N": 1}))
         out = tmp_path / "s.json"
-        with pytest.warns(Warning, match="strong-excitation form at X=5"):
-            rc = cli.main(["spectrum", "--method", "upper-branch", "--X", "5",
-                           "--params", str(pfile), "--points", "11",
-                           "--format", "json", "--out", str(out)])
+        rc = cli.main(["spectrum", "--method", "upper-branch", "--X", "5",
+                       "--params", str(pfile), "--points", "11",
+                       "--format", "json", "--out", str(out)])
         assert rc == 0
+        assert len(warning_lines(capsys.readouterr().err,
+                                 "strong-excitation form at X=5")) == 1
         warns = json.loads(out.read_text())["warnings"]
         assert any(w.startswith("strong-excitation form at X=5") for w in warns)
 
@@ -157,13 +168,14 @@ class TestG2Command:
                        "--points", "101", "--out", str(out)])
         assert rc == 0
 
-    def test_weak_regime_warning_recorded(self, tmp_path):
+    def test_weak_regime_warning_recorded(self, tmp_path, capsys):
         args = ["g2", "--variant", "atomic-weak", "--C", "40", "--xi", "0.176",
                 "--N", "310", "--X", "2", "--points", "11"]
-        with pytest.warns(Warning, match="weak-excitation form at X=2"):
-            assert cli.main(args + ["--format", "json",
-                                    "--out", str(tmp_path / "g.json")]) == 0
-            assert cli.main(args + ["--out", str(tmp_path / "g")]) == 0
+        for fmt in (["--format", "json", "--out", str(tmp_path / "g.json")],
+                    ["--out", str(tmp_path / "g")]):
+            assert cli.main(args + fmt) == 0
+            assert len(warning_lines(capsys.readouterr().err,
+                                     "weak-excitation form at X=2")) == 1
         warns = json.loads((tmp_path / "g.json").read_text())["warnings"]
         assert [w.startswith("weak-excitation form at X=2") for w in warns] == [True]
         notes = [line for line in (tmp_path / "g.csv").read_text().splitlines()
@@ -187,6 +199,31 @@ class TestG2Command:
         rc = cli.main(["g2", "--variant", "atomic-weak", "--C", "5", "--xi", "1",
                        "--out", str(tmp_path / "g")])
         assert rc == 2
+
+
+class TestWarningsOnStderr:
+    def test_repro_prints_each_warning_once(self, tmp_path):
+        # a fresh interpreter, where no test harness records the warnings
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "optbistab.cli", "g2", "--variant", "atomic-weak",
+             "--C", "40", "--xi", "0.176", "--N", "310", "--X", "2",
+             "--out", str(tmp_path / "g")],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert len(warning_lines(proc.stderr, "weak-excitation form at X=2")) == 1
+        assert not any("RegimeWarning:" in line for line in proc.stderr.splitlines())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unrecorded_warning_printed_once(self, tmp_path, capsys, fmt):
+        rc = cli.main(["scatter", "--phase-sum", "--N", "20", "--cube", "0.5",
+                       "--trials", "10", "--format", fmt,
+                       "--out", str(tmp_path / "ps")])
+        assert rc == 0
+        assert len(warning_lines(capsys.readouterr().err,
+                                 "minimum interatomic distance")) == 1
 
 
 class TestSqueezeCommand:

@@ -1,10 +1,14 @@
 """Second-order coherence: closed forms, numeric route, variances."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from conftest import full_system, oracle_covariance_scipy
+from optbistab import correlations as correlations_mod
 from optbistab.correlations import (
     G2_VARIANTS,
     anomalous_correlator_time,
@@ -147,6 +151,28 @@ class TestNumericRoute:
     def test_long_delay_reaches_unity(self, p51):
         num = g2_numeric(p51, 1e-2, np.array([0.0, 40.0]))
         assert abs(num.values[-1] - 1.0) <= 1e-6
+
+    def test_drifting_grid_propagated_to_each_delay(self, p51):
+        # steps drift by 4e-6 relative: inside allclose's rtol, yet t_k drifts
+        # from k dt by 1e-5, so k powers of one step propagator miss t_k
+        X = 0.3
+        steps = 0.01 * (1.0 + 4e-6 * np.linspace(0.0, 1.0, 600))
+        t = np.concatenate([[0.0], np.cumsum(steps)])
+        got = g2_numeric(p51, X, t).values
+        J, D = full_system(p51, X)
+        c0 = oracle_covariance_scipy(J.entries, D.entries)[3]
+        p = X / (1.0 + X * X)
+        norm = (p * p + c0[2] / p51.N) ** 2
+        c = np.array([scipy.linalg.expm(J.entries * tk) @ c0 for tk in t])
+        want = 1.0 + (2.0 / p51.N) * p * p * (c[:, 2] + c[:, 3]) / norm
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_linspace_grid_takes_one_propagator(self, p51):
+        expm = correlations_mod.matrix_exponential
+        with mock.patch.object(correlations_mod, "matrix_exponential",
+                               side_effect=expm) as spy:
+            g2_numeric(p51, 0.3, np.linspace(0.0, 6.0, 1201))
+        assert spy.call_count == 1
 
     def test_dark_cavity_rejected(self, p51):
         with pytest.raises(ValueError, match="vanishes"):

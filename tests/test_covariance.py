@@ -9,7 +9,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import full_system, oracle_covariance_kron, oracle_covariance_scipy
+from conftest import (
+    full_system,
+    integrate_linear_ode,
+    oracle_covariance_kron,
+    oracle_covariance_scipy,
+)
 from optbistab import covariance as covariance_mod
 from optbistab.covariance import (
     CorrelationVector,
@@ -34,7 +39,6 @@ from optbistab.numerics import (
     TOL,
     ConditioningError,
     SingularMatrixError,
-    integrate_linear_ode,
     quadrature,
     solve_complex_linear,
 )
@@ -286,6 +290,15 @@ class TestResolventComponent:
             got = resolvent_component(J, c0, s, comp)
             assert got.shape == y.shape
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("C, xi, X, row, comp", RESOLVENT_POINTS)
+    def test_one_point_form_matches_bit_for_bit(self, C, xi, X, row, comp):
+        # laplace_correlation_vector runs the SVD test where resolvent_component
+        # certifies from the eigenbasis; the solve and the verdict are the same
+        J, c0 = _anchored(C, xi, X, row)
+        s = -1j * np.array([0.0, 1.7, -25.0])
+        got = np.array([laplace_correlation_vector(J, c0, sk)[comp] for sk in s])
+        assert np.array_equal(got, resolvent_component(J, c0, s, comp))
 
     def test_pole_in_a_later_block_raises(self, weak_point):
         params, J, _ = weak_point

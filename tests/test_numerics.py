@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import integrate_linear_ode
 from optbistab.numerics import (
     DivergenceError,
     SingularMatrixError,
-    integrate_linear_ode,
     integrate_ode,
     matrix_exponential,
     quadrature,

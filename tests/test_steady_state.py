@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_maxwell_bloch
+from optbistab.numerics import DivergenceError
+from optbistab.params import SystemParams
 from optbistab.steady_state import (
     evaluate_drive,
     integrate_maxwell_bloch,
@@ -146,3 +149,54 @@ class TestMaxwellBloch:
     def test_bad_initial_shape_rejected(self, weak_params):
         with pytest.raises(ValueError):
             integrate_maxwell_bloch(weak_params, 6.0, np.zeros(4), 1.0)
+
+    @pytest.mark.parametrize("tau_bar_max, dt", [(1.0, 0.0), (1.0, -1e-3), (0.0, 1e-3),
+                                                 (-1.0, 1e-3)])
+    def test_nonpositive_step_or_span_rejected(self, weak_params, tau_bar_max, dt):
+        with pytest.raises(ValueError):
+            integrate_maxwell_bloch(weak_params, 6.0, steady_mb_state(1.0), tau_bar_max, dt)
+
+
+def _bistable_drive(C):
+    """A drive between the turning drives, where three roots coexist."""
+    tp = turning_points(C)
+    return tp.Y_plus + 0.4 * (tp.Y_minus - tp.Y_plus)
+
+
+class TestScalarKernel:
+    """The scalar RK4 reproduces the vector RK4 on a numpy right-hand side
+    bit for bit: same operation order, same rounding."""
+
+    @pytest.mark.parametrize("C, xi, Y, root", [
+        (5.0, 1.0, 6.0, 0), (5.0, 1.0, 6.0, 1), (5.0, 1.0, 6.0, 2),
+        (33.0, 3.7, _bistable_drive(33.0), 0), (33.0, 3.7, _bistable_drive(33.0), 1),
+        (33.0, 3.7, _bistable_drive(33.0), 2),
+        (5.0, 500.0, 6.0, 0),     # stiff bad cavity: xi dt = 0.5
+        (5.0, 500.0, 6.0, None),  # and its switch-on from the ground state
+    ], ids=["weak-lower", "weak-middle", "weak-upper", "bistable-lower",
+            "bistable-middle", "bistable-upper", "bad-cavity", "bad-cavity-switch-on"])
+    def test_bit_identical_to_vector_rk4(self, C, xi, Y, root):
+        # near a root the RK4 increments are far below an ulp of the state,
+        # so only the switch-on transient exposes a changed summation order
+        params = SystemParams(C=C, xi=xi, N=10**4)
+        if root is None:
+            x0 = np.array([0.0, 0.0, 0.0, 0.0, -1.0])
+        else:
+            s0 = steady_mb_state(solve_state_equation(C, Y)[root].X)
+            u = np.random.default_rng(root).normal(size=5)
+            x0 = s0 + 1e-3 * (1.0 + np.abs(s0)) * u
+        times, states = integrate_maxwell_bloch(params, Y, x0, 3.0)
+        ref_times, ref_states = reference_maxwell_bloch(params, Y, x0, 3.0)
+        assert states.shape == (3001, 5) and states.dtype == np.float64
+        assert states.flags.c_contiguous
+        assert np.array_equal(times, ref_times)
+        assert np.array_equal(states, ref_states)
+
+    def test_divergence_names_the_reference_step(self, weak_params):
+        x0 = np.array([30.0, 30.0, 0.0, 0.0, 30.0])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as ref:
+            reference_maxwell_bloch(weak_params, 6.0, x0, 5.0, dt=0.1)
+        with pytest.raises(DivergenceError) as got:
+            integrate_maxwell_bloch(weak_params, 6.0, x0, 5.0, dt=0.1)
+        assert got.value.step == ref.value.step > 1
