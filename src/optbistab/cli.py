@@ -217,7 +217,7 @@ def cmd_spectrum(args):
     if args.method == "numeric":
         X = _pick_operating_point(params, args)
         series = spectra.spectrum_numeric(params, X, args.kind, grid)
-        check = spectra.verify_unit_area(None, f"numeric-{args.kind}", params, X)
+        check = spectra.verify_unit_area(f"numeric-{args.kind}", params, X)
         norm_note = [f"unit-area check: {check['area']:.6f} "
                      f"(tail bound {check['tail_bound']:.2e})"]
     else:

@@ -134,7 +134,8 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
     requires raw rates), forward-weak, single-atom-pure-state, side-large-C,
     atomic-impedance and forward-impedance (both require xi = 1 exactly),
     atomic-strong. Weak variants warn outside X << X_minus; the strong
-    variant warns unless X^2 << N. Delays must be nonnegative.
+    variant warns outside X >> X_plus and unless X^2 << N. Delays must be
+    nonnegative.
     """
     if variant not in G2_VARIANTS:
         raise ValueError(f"unknown g2 variant {variant!r}")
@@ -147,7 +148,8 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
         raise ValueError("impedance-matched forms require xi = 1")
     weak = variant in ("atomic-weak", "atomic-weak-recast", "forward-weak",
                        "single-atom-pure-state")
-    if weak and (msg := regime_violation(params.C, X, "weak")):
+    regime = "weak" if weak else "strong" if variant == "atomic-strong" else None
+    if regime and (msg := regime_violation(params.C, X, regime)):
         warnings.warn(msg, RegimeWarning, stacklevel=2)
         warn_msgs.append(msg)
     if variant == "atomic-strong":

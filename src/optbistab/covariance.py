@@ -71,6 +71,16 @@ class CorrelationVector:
 
 _TRI = [(i, j) for i in range(5) for j in range(i, 5)]
 _TRI_INDEX = {ij: k for k, ij in enumerate(_TRI)}
+_TRI_PAIRS = tuple(np.array(_TRI).T)
+# Every term of the 15-unknown operator C -> J C + C J^T on symmetric C, as
+# (row, column, i, k): J[i, k] is added at M[row, column]. No entry of M
+# gets more than two terms, so the sum is exact in any order.
+_LYAPUNOV_TERMS = np.array([
+    term
+    for (i, j), row in _TRI_INDEX.items() for k in range(5)
+    for term in ((row, _TRI_INDEX[(min(k, j), max(k, j))], i, k),
+                 (row, _TRI_INDEX[(min(i, k), max(i, k))], j, k))
+]).T
 
 
 def solve_lyapunov(J: FluctuationMatrix, D: FluctuationMatrix) -> FluctuationMatrix:
@@ -85,13 +95,10 @@ def solve_lyapunov(J: FluctuationMatrix, D: FluctuationMatrix) -> FluctuationMat
         raise UnstableDriftError("Lyapunov solve requires stable drift")
     A = J.entries
     B = D.entries
+    rows, cols, i, k = _LYAPUNOV_TERMS
     M = np.zeros((15, 15))
-    rhs = np.zeros(15)
-    for (i, j), row in _TRI_INDEX.items():
-        for k in range(5):
-            M[row, _TRI_INDEX[(min(k, j), max(k, j))]] += A[i, k]
-            M[row, _TRI_INDEX[(min(i, k), max(i, k))]] += A[j, k]
-        rhs[row] = -B[i, j]
+    np.add.at(M, (rows, cols), A[i, k])
+    rhs = -B[_TRI_PAIRS]
     try:
         x = solve_complex_linear(M, rhs)
     except SingularMatrixError as exc:
@@ -100,8 +107,7 @@ def solve_lyapunov(J: FluctuationMatrix, D: FluctuationMatrix) -> FluctuationMat
             condition=exc.condition,
         ) from exc
     C = np.zeros((5, 5))
-    for (i, j), k in _TRI_INDEX.items():
-        C[i, j] = C[j, i] = x[k].real
+    C[_TRI_PAIRS] = C[_TRI_PAIRS[::-1]] = x.real
     resid = np.max(np.abs(A @ C + C @ A.T + B))
     bound = TOL.lyapunov_residual_rel * max(1.0, np.max(np.abs(B)))
     if resid > bound:

@@ -85,21 +85,35 @@ class WeakScales:
     K: float
 
 
+# Reference amplitudes below the bistability threshold (C <= 4), where the
+# turning points do not exist: saturation, X = 1, for the weak side, and 10/3
+# for the strong side, which puts its edge at X = 10. At these edges, for
+# xi = 1 and C from 0.1 to 4, the weak row is off the stationary covariance
+# row by at most 2.2% entrywise and the strong rows by at most 18% of their
+# largest entry, no worse than at the C = 5 edges (2.7% and 19%).
+_SUBTHRESHOLD_REFS = {"weak": ("X_sat", 1.0), "strong": ("X_ref", 10.0 / 3.0)}
+
+
 def regime_violation(C, X, regime):
     """Why amplitude X lies outside a limit regime, or None if it does not.
 
     regime="weak" wants X << X_minus (X < TOL.weak_guard_frac * X_minus) and
     regime="strong" wants X >> X_plus (X > TOL.strong_guard_frac * X_plus).
-    Without bistability (C <= 4) or without an amplitude (X None) there is
+    Without bistability (C <= 4) the references are X_sat = 1 and
+    X_ref = 10/3 in their place. Without an amplitude (X None) there is
     nothing to violate.
     """
-    if C <= 4.0 or X is None:
+    if X is None:
         return None
-    tp = turning_points(C)
-    if regime == "weak" and X >= TOL.weak_guard_frac * tp.X_minus:
-        return f"weak-excitation form at X={X:g}, not << X_minus={tp.X_minus:g}"
-    if regime == "strong" and X <= TOL.strong_guard_frac * tp.X_plus:
-        return f"strong-excitation form at X={X:g}, not >> X_plus={tp.X_plus:g}"
+    if C > 4.0:
+        tp = turning_points(C)
+        name, ref = ("X_minus", tp.X_minus) if regime == "weak" else ("X_plus", tp.X_plus)
+    else:
+        name, ref = _SUBTHRESHOLD_REFS[regime]
+    if regime == "weak" and X >= TOL.weak_guard_frac * ref:
+        return f"weak-excitation form at X={X:g}, not << {name}={ref:g}"
+    if regime == "strong" and X <= TOL.strong_guard_frac * ref:
+        return f"strong-excitation form at X={X:g}, not >> {name}={ref:g}"
     return None
 
 

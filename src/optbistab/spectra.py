@@ -334,10 +334,20 @@ _TAIL_TOL = 1e-3
 _MAX_DOUBLINGS = 40
 
 
-def certified_area(evaluate, feature_scale, tail_power):
-    """Integrate a spectrum with an adaptively certified tail bound.
+def _half_grid(core, y_max):
+    """Nonnegative half of the certified-area grid: a dense core [0, core]
+    and log-spaced tails out to y_max. Mirrored about 0 it gives a grid g
+    with g == -g[::-1] exactly."""
+    return np.concatenate([np.linspace(0.0, core, 20001),
+                           np.geomspace(core, y_max, 4001)[1:]])
 
-    `evaluate` maps a frequency array to spectrum values. The grid spans
+
+def certified_area(evaluate, feature_scale, tail_power):
+    """Integrate an even spectrum with an adaptively certified tail bound.
+
+    `evaluate` maps a frequency array to the values of a spectrum that is
+    even in y, as every spectrum of a real drift and a real anchor row is;
+    it is called on y >= 0 only, and the values are mirrored. The grid spans
     [-y_max, y_max] with a dense core around the features (width set by
     feature_scale) and log-spaced tails; y_max doubles until the analytic
     tail bound 2 * T(y_max) * y_max / (p - 1) for a |y|^-p tail certifies a
@@ -357,12 +367,10 @@ def certified_area(evaluate, feature_scale, tail_power):
         y_max *= 2.0
     else:
         raise ConditioningError("tail bound failed to certify")
-    core_grid = np.linspace(-core, core, 40001)
-    n_tail = 4000
-    right = np.geomspace(core, y_max, n_tail + 1)[1:]
-    grid = np.concatenate([-right[::-1], core_grid, right])
-    vals = evaluate(grid)
-    quad = quadrature(vals, grid)
+    half = _half_grid(core, y_max)
+    vals = evaluate(half)
+    quad = quadrature(np.concatenate([vals[:0:-1], vals]),
+                      np.concatenate([-half[:0:-1], half]))
     return {
         "area": quad.value,
         "tail_bound": tail,
@@ -371,7 +379,7 @@ def certified_area(evaluate, feature_scale, tail_power):
     }
 
 
-def verify_unit_area(series_or_callable, variant, params=None, X=None):
+def verify_unit_area(variant, params=None, X=None):
     """Certified unit-area check for a spectrum variant.
 
     Accepts a closed-form variant name together with its parameters, or

@@ -191,7 +191,7 @@ UNIT_AREA_CASES = [
 @pytest.mark.parametrize("variant,params,X", UNIT_AREA_CASES,
                          ids=[c[0] for c in UNIT_AREA_CASES])
 def test_criterion_11_normalization(variant, params, X):
-    res = verify_unit_area(None, variant, params, X)
+    res = verify_unit_area(variant, params, X)
     ok = abs(res["area"] - 1.0) <= 1e-2 and res["tail_bound"] < 1e-3
     assert report(11, ok, f"{variant}: certified area {res['area']:.5f} "
                   f"(tail bound {res['tail_bound']:.1e}, y_max {res['y_max']:.0f})")

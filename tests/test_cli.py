@@ -8,8 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from optbistab import cli, correlations, scattering, steady_state
+from optbistab.lindyn import build_diffusion, build_jacobian
 from optbistab.numerics import NumericsError
 from optbistab.params import SystemParams
 
@@ -182,6 +184,17 @@ class TestG2Command:
                  if line.startswith("# warning: ")]
         assert notes == ["# warning: " + warns[0]]
 
+    def test_strong_regime_warning_below_bistability(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        rc = cli.main(["g2", "--variant", "atomic-strong", "--C", "2", "--xi", "1",
+                       "--N", "1000000", "--X", "0.1", "--points", "11",
+                       "--format", "json", "--out", str(out)])
+        assert rc == 0
+        assert len(warning_lines(capsys.readouterr().err,
+                                 "strong-excitation form at X=0.1")) == 1
+        assert json.loads(out.read_text())["warnings"] == [
+            "strong-excitation form at X=0.1, not >> X_ref=3.33333"]
+
     def test_impedance_mismatch_is_regime_error(self, tmp_path):
         rc = cli.main(["g2", "--variant", "atomic-impedance", "--C", "5",
                        "--xi", "1.3", "--N", "10", "--out", str(tmp_path / "g")])
@@ -236,6 +249,25 @@ class TestSqueezeCommand:
         assert doc["squeezed"] is True
         assert doc["ratio"] == pytest.approx(788.06, rel=1e-3)
         assert doc["var_Jpi2"] < 0.25 < doc["var_J0"]
+
+    def test_below_bistability_takes_the_lyapunov_route(self, tmp_path):
+        # at C = 2 the weak closed form is far outside its regime at X = 10
+        # (ratio 0.01875); the stationary covariance gives 0.00632
+        out = tmp_path / "sq.json"
+        rc = cli.main(["squeeze", "--C", "2", "--xi", "1", "--X", "10",
+                       "--format", "json", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        J = build_jacobian(SystemParams(C=2.0, xi=1.0, N=1), 10.0).entries
+        D = build_diffusion(10.0).entries
+        cov = scipy.linalg.solve_continuous_lyapunov(J, -D)
+        c_nu, c_nu_star = cov[3, 2], cov[3, 3]
+        jz = steady_state.steady_moments(10.0)[3]
+        assert doc["method"] == "lyapunov"
+        assert doc["ratio"] == pytest.approx(abs(c_nu_star) / c_nu, rel=1e-9)
+        assert doc["ratio"] == pytest.approx(0.006323, rel=1e-4)
+        assert doc["var_Jpi2"] == pytest.approx(0.5 * (c_nu + c_nu_star) - 0.25 * jz,
+                                                rel=1e-9)
 
 
 class TestScatterCommand:

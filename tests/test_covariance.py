@@ -16,6 +16,7 @@ from conftest import (
     oracle_covariance_scipy,
 )
 from optbistab import covariance as covariance_mod
+from optbistab import spectra as spectra_mod
 from optbistab.covariance import (
     CorrelationVector,
     UnstableDriftError,
@@ -268,12 +269,19 @@ def _anchored(C, xi, X, row):
 
 
 def _certified_grid(J):
-    """The layout certified_area integrates on (dense core, log tails) for
-    this drift, every 16th point, so the per-point reference loop stays short."""
+    """The layout certified_area integrates on (dense core, log tails,
+    mirrored about 0) for this drift, every 16th point, so the per-point
+    reference loop stays short; the subsample is mirror-exact too."""
     core = 10.0 * max(1.0, np.max(np.abs(np.linalg.eigvals(J.entries))))
-    right = np.geomspace(core, 64.0 * core, 4001)[1:]
-    grid = np.concatenate([-right[::-1], np.linspace(-core, core, 40001), right])
-    return grid[::16]
+    half = spectra_mod._half_grid(core, 64.0 * core)
+    return np.concatenate([-half[:0:-1], half])[::16]
+
+
+def _type_or_values(J, c0, s, comp):
+    try:
+        return resolvent_component(J, c0, s, comp)
+    except (ConditioningError, SingularMatrixError) as exc:
+        return type(exc)
 
 
 class TestResolventComponent:
@@ -299,6 +307,16 @@ class TestResolventComponent:
         s = -1j * np.array([0.0, 1.7, -25.0])
         got = np.array([laplace_correlation_vector(J, c0, sk)[comp] for sk in s])
         assert np.array_equal(got, resolvent_component(J, c0, s, comp))
+
+    @pytest.mark.parametrize("C, xi, X, row, comp", RESOLVENT_POINTS)
+    def test_mirror_is_the_exact_conjugate(self, C, xi, X, row, comp):
+        # J and c0 are real: the resolvent at conj(s) is conj of that at s,
+        # bit for bit, which is what lets certified_area resolve y >= 0 only
+        J, c0 = _anchored(C, xi, X, row)
+        y = _certified_grid(J)
+        assert np.array_equal(y, -y[::-1])
+        up = resolvent_component(J, c0, 1j * y, comp)
+        assert np.array_equal(up, np.conj(resolvent_component(J, c0, -1j * y, comp)))
 
     def test_pole_in_a_later_block_raises(self, weak_point):
         params, J, _ = weak_point
@@ -420,6 +438,16 @@ class TestSingularValueCertificate:
         with pytest.raises(SingularMatrixError, match=named):
             laplace_correlation_vector(J, c0, s[first])
         _assert_same_outcome(_run(J, c0, s, "nu"), _svd_everywhere(J, c0, s, "nu"))
+
+    def test_non_normal_drift_mirror_raises_the_same_type(self):
+        # the SVD test fails on both halves of a mirror-exact grid alike
+        J = FluctuationMatrix(-np.eye(5) + 1e4 * np.eye(5, k=1), kind="jacobian")
+        c0 = CorrelationVector(row="nu*", entries=np.ones(5))
+        half = np.linspace(0.0, 50.0, 151)
+        y = np.concatenate([-half[:0:-1], half])
+        down = _type_or_values(J, c0, -1j * y, "nu")
+        assert down is SingularMatrixError
+        assert _type_or_values(J, c0, 1j * y, "nu") is down
 
 
 class TestCorrelationVector:

@@ -78,23 +78,29 @@ class TestJacobian:
         for e in expect:
             assert np.min(np.abs(eig - e)) < 1e-10
 
-    def test_regime_guard_silent_without_bistability(self):
+    def test_regime_guard_below_bistability(self):
+        # no turning points at C = 2: the guard measures X against X_sat = 1
+        # and X_ref = 10/3 instead
         p = SystemParams(C=2.0, xi=1.0, N=10)
-        import warnings
-
+        with pytest.warns(RegimeWarning, match="not << X_sat=1"):
+            build_jacobian(p, 5.0, "weak")
+        with pytest.warns(RegimeWarning, match="not >> X_ref=3.33333"):
+            build_jacobian(p, 0.1, "strong")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            build_jacobian(p, 5.0, "weak")
-            build_jacobian(p, 0.1, "strong")
+            build_jacobian(p, 0.05, "weak")
+            build_jacobian(p, 20.0, "strong")
 
 
 def _guard_points():
     """The guard edges at C = 20 (0.1 X_minus and 3 X_plus) with a point on
-    either side, and points at and below the bistability threshold."""
+    either side, points at and below the bistability threshold, and the
+    edges below it (X = 0.1 and X = 10) with a point on either side."""
     tp = turning_points(20.0)
     points = [(20.0, f * tp.X_minus) for f in (0.05, 0.1, 0.2)]
     points += [(20.0, f * tp.X_plus) for f in (2.9, 3.0, 3.1)]
     points += [(C, X) for C in (4.0, 3.0) for X in (0.05, 1.0, 20.0)]
+    points += [(C, X) for C in (0.1, 2.0, 3.9) for X in (0.09, 0.1, 0.11, 9.0, 10.0, 11.0)]
     return points
 
 
@@ -111,6 +117,8 @@ _WEAK_SITES = {
 _STRONG_SITES = {
     "build_jacobian": lambda p, X: build_jacobian(p, X, "strong"),
     "strong_covariance_closed": strong_covariance_closed,
+    "g2_closed_form": lambda p, X: g2_closed_form("atomic-strong", p, X=X,
+                                                  tau_bar_grid=_TAUS),
     "upper-branch": lambda p, X: spectrum_closed_form("upper-branch", p, X=X,
                                                       y_grid=_GRID),
     "upper-forward-lorentzian": lambda p, X: spectrum_closed_form(
@@ -119,13 +127,14 @@ _STRONG_SITES = {
 
 
 def _guard_messages(site, p, X):
-    """Regime-guard warnings of one call: those naming a turning amplitude
-    (other guards, e.g. the Lorentzian's X >> xi, are left out)."""
+    """Regime-guard warnings of one call: those of regime_violation (other
+    guards, e.g. the Lorentzian's X >> xi, are left out)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         site(p, X)
     return [str(w.message) for w in caught if issubclass(w.category, RegimeWarning)
-            and ("X_minus" in str(w.message) or "X_plus" in str(w.message))]
+            and str(w.message).startswith(("weak-excitation form at",
+                                           "strong-excitation form at"))]
 
 
 class TestRegimeGuard:
@@ -148,7 +157,30 @@ class TestRegimeGuard:
         assert regime_violation(20.0, 3.0 * tp.X_plus, "strong") is not None
         assert regime_violation(20.0, 3.1 * tp.X_plus, "strong") is None
         assert regime_violation(20.0, None, "weak") is None
-        assert regime_violation(4.0, 100.0, "weak") is None
+        assert regime_violation(4.0, 100.0, "weak") is not None
+
+    @pytest.mark.parametrize("C", [0.1, 2.0, 3.9])
+    def test_edges_below_bistability(self, C):
+        # weak edge 0.1 X_sat = 0.1, strong edge 3 X_ref = 10; the squeezing
+        # route leaves the weak closed form where its guard warns
+        p = SystemParams(C=C, xi=1.0, N=10**4)
+        assert regime_violation(C, 0.099, "weak") is None
+        assert regime_violation(C, 0.1, "weak") == (
+            "weak-excitation form at X=0.1, not << X_sat=1")
+        assert regime_violation(C, 10.0, "strong") == (
+            "strong-excitation form at X=10, not >> X_ref=3.33333")
+        assert regime_violation(C, 10.01, "strong") is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weak_covariance_row(p, 0.099)
+            strong_covariance_closed(p, 10.01)
+        with pytest.warns(RegimeWarning, match="X_sat"):
+            weak_covariance_row(p, 0.1)
+        with pytest.warns(RegimeWarning, match="X_ref"):
+            strong_covariance_closed(p, 10.0)
+        assert quadrature_variances(p, 0.099).method == "weak-closed"
+        assert quadrature_variances(p, 0.1).method == "lyapunov"
+        assert quadrature_variances(p, 10.0).method == "lyapunov"
 
 
 class TestDiffusion:

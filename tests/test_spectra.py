@@ -12,6 +12,7 @@ from optbistab.params import SystemParams
 from optbistab.spectra import (
     UNIT_AREA_VARIANTS,
     UnstableOperatingPointError,
+    _half_grid,
     anomalous_laplace,
     saturation_factor,
     spectrum_closed_form,
@@ -49,9 +50,9 @@ class TestNumericSpectrum:
         assert np.max(np.abs(num.values - ref.values)) <= 2e-2 * ref.values.max()
 
     def test_unit_area(self, p51):
-        res = verify_unit_area(None, "numeric-atomic", p51, 0.01)
+        res = verify_unit_area("numeric-atomic", p51, 0.01)
         assert abs(res["area"] - 1.0) <= 1e-2
-        res = verify_unit_area(None, "numeric-forward", p51, 100.0)
+        res = verify_unit_area("numeric-forward", p51, 100.0)
         assert abs(res["area"] - 1.0) <= 1e-2
 
     def test_nonnegative_and_symmetric(self, p51):
@@ -70,15 +71,15 @@ class TestNumericSpectrum:
 
     def test_unit_area_rejects_unknown_numeric_variant(self, p51):
         with pytest.raises(ValueError, match="not a unit-area variant"):
-            verify_unit_area(None, "numeric-bogus", p51, 0.01)
+            verify_unit_area("numeric-bogus", p51, 0.01)
 
     def test_unit_area_rejects_dark_cavity(self, p51):
         with pytest.raises(ValueError, match="no incoherent component at X = 0"):
-            verify_unit_area(None, "numeric-atomic", p51, 0.0)
+            verify_unit_area("numeric-atomic", p51, 0.0)
 
     def test_unit_area_rejects_unstable_point(self, p51):
         with pytest.raises(UnstableOperatingPointError):
-            verify_unit_area(None, "numeric-atomic", p51, 2.0)
+            verify_unit_area("numeric-atomic", p51, 2.0)
 
 
 class TestClosedForms:
@@ -180,18 +181,53 @@ class TestClosedForms:
             spectrum_closed_form("mollow", p51, y_grid=np.array([0.0]))
 
 
+UNIT_AREA_CASES = [
+    ("weak-closed", {"params": SystemParams(C=5.0, xi=1.0, N=10)}),
+    ("bad-cavity", {"params": SystemParams(C=5.0, xi=500.0, N=10)}),
+    ("strong-coupling", {"params": SystemParams(C=200.0, xi=1.0, N=10)}),
+    ("upper-branch", {"X": 20.0}),
+    ("upper-forward-lorentzian", {"params": SystemParams(C=5.0, xi=1.0, N=10)}),
+]
+
+# a 24,001-point half of the certified-area layout, core 100, tails to 1e5
+MIRROR_HALF = _half_grid(100.0, 1e5)
+
+
 class TestUnitArea:
-    @pytest.mark.parametrize("variant,kwargs", [
-        ("weak-closed", {"params": SystemParams(C=5.0, xi=1.0, N=10)}),
-        ("bad-cavity", {"params": SystemParams(C=5.0, xi=500.0, N=10)}),
-        ("strong-coupling", {"params": SystemParams(C=200.0, xi=1.0, N=10)}),
-        ("upper-branch", {"X": 20.0}),
-        ("upper-forward-lorentzian", {"params": SystemParams(C=5.0, xi=1.0, N=10)}),
-    ])
+    @pytest.mark.parametrize("variant,kwargs", UNIT_AREA_CASES)
     def test_certified_unit_area(self, variant, kwargs):
-        res = verify_unit_area(None, variant, kwargs.get("params"), kwargs.get("X"))
+        res = verify_unit_area(variant, kwargs.get("params"), kwargs.get("X"))
         assert res["tail_bound"] < 1e-3
         assert abs(res["area"] - 1.0) <= 1e-2
+
+    def test_cases_cover_every_unit_area_variant(self):
+        assert [v for v, _ in UNIT_AREA_CASES] == list(UNIT_AREA_VARIANTS)
+
+    @pytest.mark.parametrize("variant,kwargs", UNIT_AREA_CASES)
+    def test_closed_form_is_even_bit_for_bit(self, variant, kwargs):
+        # certified_area evaluates y >= 0 only and mirrors the values
+        def values(y):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RegimeWarning)
+                return spectrum_closed_form(variant, kwargs.get("params"),
+                                            X=kwargs.get("X"), y_grid=y).values
+
+        assert np.array_equal(values(-MIRROR_HALF), values(MIRROR_HALF))
+
+    @pytest.mark.parametrize("kind,X", [("atomic", 0.01), ("forward", 100.0)])
+    def test_numeric_is_even_bit_for_bit(self, p51, kind, X):
+        left = spectrum_numeric(p51, X, kind, -MIRROR_HALF).values
+        assert np.array_equal(left, spectrum_numeric(p51, X, kind, MIRROR_HALF).values)
+
+    def test_half_grid_mirrors_the_old_layout(self):
+        # same point count, core spacing and log tails as a symmetric
+        # linspace core of 40,001 points with 4,000 tail points a side
+        half = _half_grid(10.0, 640.0)
+        grid = np.concatenate([-half[:0:-1], half])
+        assert grid.size == 48001 and np.array_equal(grid, -grid[::-1])
+        assert np.all(np.diff(grid) > 0)
+        assert np.allclose(np.diff(grid[4000:44001]), 20.0 / 40000, rtol=1e-9)
+        assert np.array_equal(grid[44001:], np.geomspace(10.0, 640.0, 4001)[1:])
 
     def test_forward_lorentzian_on_wide_grid(self):
         # heavier 1/y^2 tail than the atomic spectra: wide grid still within 1e-2
