@@ -95,7 +95,8 @@ def _emit_record(args, stem, meta, columns=None, rows=None, record=None,
                  warn_msgs=()):
     """Write one table, or one record of named values, as CSV or JSON.
 
-    The path is `stem` with the format's suffix unless it already has it. A
+    The path is `stem` with the format's suffix unless it already has it.
+    `rows` is a 2-D array or a sequence of rows (see `output`). A
     JSON table is {meta, columns, rows, warnings}; a JSON record puts its
     values beside meta and warnings as flat keys. CSV warnings also go to
     stderr. Prints the path.
@@ -109,8 +110,7 @@ def _emit_record(args, stem, meta, columns=None, rows=None, record=None,
             _print_warning(args, w)
     elif record is None:
         output.write_json(path, {"meta": meta, "columns": list(columns),
-                                 "rows": [list(r) for r in rows],
-                                 "warnings": list(warn_msgs)})
+                                 "rows": rows, "warnings": list(warn_msgs)})
     else:
         output.write_json(path, {"meta": meta, **record, "warnings": list(warn_msgs)})
     print(path)
@@ -135,7 +135,7 @@ def _emit_series(args, label_series, warn_msgs=(), always_suffix=False):
             columns, x = ("tau_bar", "g2"), series.tau_bar
         _emit_record(args, f"{stem}_{label}" if multi else stem,
                      output.series_meta(series, seed=args.seed), columns,
-                     list(zip(x, series.values)),
+                     np.column_stack((x, series.values)),
                      warn_msgs=list(series.warnings) + list(warn_msgs))
 
 

@@ -5,13 +5,19 @@ stationary covariance is cross-checked against scipy's Bartels-Stewart
 solver and against a 25-unknown Kronecker-product solve, and propagators
 against series expansion / RK4. The Maxwell-Bloch reference runs the
 vector RK4 of `numerics.integrate_ode` on a numpy right-hand side, the form
-the scalar kernel in `steady_state` must reproduce bit for bit.
+the scalar kernel in `steady_state` must reproduce bit for bit. The
+reference writers encode a table row by row and cell by cell, CSV through
+`output._fmt` and JSON through `json.dump` itself; the column-wise writers
+in `output` must reproduce their bytes.
 """
+
+import json
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_lyapunov as scipy_lyapunov
 
+from optbistab import __version__, output
 from optbistab import params as params_mod
 from optbistab.lindyn import build_diffusion, build_jacobian
 from optbistab.numerics import integrate_ode
@@ -71,3 +77,24 @@ def reference_maxwell_bloch(params, Y, initial, tau_bar_max, dt=1e-3):
         ])
 
     return integrate_ode(rhs, np.asarray(initial, dtype=float), tau_bar_max, dt)
+
+
+def reference_write_csv(path, columns, rows, meta=None, warnings_list=()):
+    """CSV table written row by row, every cell through `output._fmt`."""
+    lines = output._metadata_lines(meta or {})
+    for w in warnings_list:
+        lines.append(f"# warning: {w}")
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(output._fmt(v) for v in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_write_json(path, payload):
+    """JSON payload written by json's own encoder, in output.write_json's layout."""
+    payload = dict(payload)
+    payload.setdefault("tool", f"optbistab {__version__}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=output._json_default)
+        fh.write("\n")
