@@ -22,7 +22,6 @@ from . import spectra, steady_state
 from .covariance import UnstableDriftError
 from .numerics import NumericsError
 from .params import ParameterError
-from .spectra import UnstableOperatingPointError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -198,9 +197,7 @@ def _pick_operating_point(params, args):
             raise UsageError(f"no {args.branch} root at Y={args.Y:g}")
         return matches[0].X
     if not stable:
-        raise UnstableOperatingPointError(
-            "linearization invalid on the unstable branch"
-        )
+        raise UnstableDriftError("linearization invalid on the unstable branch")
     return points[0].X
 
 
@@ -212,7 +209,7 @@ def cmd_spectrum(args):
     else:
         params = resolve_params(args)
     if args.branch == "unstable-middle":
-        raise UnstableOperatingPointError("linearization invalid on the unstable branch")
+        raise UnstableDriftError("linearization invalid on the unstable branch")
     grid = np.linspace(-args.ymax, args.ymax, args.points)
     if args.method == "numeric":
         X = _pick_operating_point(params, args)
@@ -411,7 +408,7 @@ def _run(args):
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnstableDriftError, UnstableOperatingPointError) as exc:
+    except UnstableDriftError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME
     except NumericsError as exc:

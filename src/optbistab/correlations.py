@@ -19,18 +19,11 @@ import numpy as np
 
 from .covariance import (
     covariance_row,
-    solve_lyapunov,
+    linearize,
     strong_covariance_closed,
     weak_covariance_row,
 )
-from .lindyn import (
-    RegimeWarning,
-    build_diffusion,
-    build_jacobian,
-    is_stable,
-    regime_violation,
-    weak_scales,
-)
+from .lindyn import RegimeWarning, regime_violation, weak_scales
 from .numerics import matrix_exponential
 from .params import params_meta
 from .steady_state import steady_moments
@@ -223,10 +216,7 @@ def g2_numeric(params, X, tau_bar_grid) -> CorrelationSeries:
     if X == 0:
         raise ValueError("coherent amplitude vanishes at X = 0")
     t = _delays(tau_bar_grid)
-    J = build_jacobian(params, X, regime="full")
-    if not is_stable(J):
-        raise ValueError("operating point is not stable; g2 undefined")
-    Cinf = solve_lyapunov(J, build_diffusion(X))
+    J, Cinf = linearize(params, X)
     c0 = covariance_row(Cinf, "nu*").entries
     p = abs(steady_moments(X)[1])
     norm = (p * p + c0[2].real / params.N) ** 2
@@ -274,16 +264,14 @@ def quadrature_variances(params, X) -> QuadratureVariances:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
             row = weak_covariance_row(params, X)
-        c_nu, c_nu_star = row["nu"].real, row["nu*"].real
         jz = -1.0
         method = "weak-closed"
     else:
-        J = build_jacobian(params, X, regime="full")
-        Cinf = solve_lyapunov(J, build_diffusion(X))
+        _, Cinf = linearize(params, X)
         row = covariance_row(Cinf, "nu*")
-        c_nu, c_nu_star = row["nu"].real, row["nu*"].real
         jz = steady_moments(X)[3]
         method = "lyapunov"
+    c_nu, c_nu_star = row["nu"].real, row["nu*"].real
     var0 = 0.5 * (c_nu - c_nu_star) - 0.25 * jz
     var1 = 0.5 * (c_nu + c_nu_star) - 0.25 * jz
     return QuadratureVariances(

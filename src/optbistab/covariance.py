@@ -23,6 +23,9 @@ from .lindyn import (
     IDX,
     FluctuationMatrix,
     RegimeWarning,
+    build_diffusion,
+    build_jacobian,
+    drift_eigenvalues,
     is_stable,
     regime_violation,
     saturation_factor,
@@ -115,6 +118,16 @@ def solve_lyapunov(J: FluctuationMatrix, D: FluctuationMatrix) -> FluctuationMat
             f"stationary covariance residual {resid:.3e} exceeds {bound:.3e}"
         )
     return FluctuationMatrix(C, kind="covariance")
+
+
+def linearize(params, X):
+    """(J, C): the full drift at amplitude X and its stationary covariance.
+    An unstable point raises UnstableDriftError naming X."""
+    J = build_jacobian(params, X, regime="full")
+    try:
+        return J, solve_lyapunov(J, build_diffusion(X))
+    except UnstableDriftError:
+        raise UnstableDriftError(f"operating point X={X:g} is not stable") from None
 
 
 def covariance_row(C: FluctuationMatrix, row: str) -> CorrelationVector:
@@ -308,11 +321,21 @@ def _resolve_block(J, spectrum, b, s):
     return x
 
 
-def _drift_eigenvalues(J):
-    """The drift eigenvalues for the pole-gap test."""
-    if J.kind != "jacobian":
-        raise ValueError("expected a jacobian")
-    return np.linalg.eigvals(J.entries.astype(complex))
+def resolvent(J: FluctuationMatrix):
+    """resolvent_component at J as a function of (c0, s_bar, comp); every call
+    reads the drift eigenvalues and eigenbasis bound computed once, here."""
+    spectrum = (drift_eigenvalues(J), _eigenbasis_bound(J.entries))
+
+    def component(c0, s_bar, comp):
+        s = np.atleast_1d(np.asarray(s_bar, dtype=complex))
+        k = IDX[comp]
+        out = np.empty(s.size, dtype=complex)
+        for start in range(0, s.size, _RESOLVENT_BLOCK):
+            block = slice(start, start + _RESOLVENT_BLOCK)
+            out[block] = _resolve_block(J.entries, spectrum, c0.entries, s[block])[:, k]
+        return out
+
+    return component
 
 
 def resolvent_component(J: FluctuationMatrix, c0: CorrelationVector, s_bar,
@@ -324,14 +347,7 @@ def resolvent_component(J: FluctuationMatrix, c0: CorrelationVector, s_bar,
     the one component, so memory does not grow with five per point. Returns
     an (n,) complex array.
     """
-    spectrum = (_drift_eigenvalues(J), _eigenbasis_bound(J.entries))
-    s = np.atleast_1d(np.asarray(s_bar, dtype=complex))
-    k = IDX[comp]
-    out = np.empty(s.size, dtype=complex)
-    for start in range(0, s.size, _RESOLVENT_BLOCK):
-        block = slice(start, start + _RESOLVENT_BLOCK)
-        out[block] = _resolve_block(J.entries, spectrum, c0.entries, s[block])[:, k]
-    return out
+    return resolvent(J)(c0, s_bar, comp)
 
 
 def laplace_correlation_vector(J: FluctuationMatrix, c0: CorrelationVector,
@@ -343,6 +359,6 @@ def laplace_correlation_vector(J: FluctuationMatrix, c0: CorrelationVector,
     """
     s = complex(s_bar)
     # one point: its SVD costs less than the eigenbasis bound that would spare it
-    spectrum = (_drift_eigenvalues(J), None)
+    spectrum = (drift_eigenvalues(J), None)
     x = _resolve_block(J.entries, spectrum, c0.entries, np.array([s]))[0]
     return CorrelationVector(row=c0.row, entries=x, s_bar=s)

@@ -194,9 +194,13 @@ def saturation_factor(X, xi):
     return (X * X + (xi + 1.0) * (xi + 3.0)) / (2.0 * X * X + xi * (xi + 3.0))
 
 
+def drift_eigenvalues(J: FluctuationMatrix) -> np.ndarray:
+    """The complex eigenvalues of a drift matrix."""
+    if J.kind != "jacobian":
+        raise ValueError("expected a jacobian")
+    return np.linalg.eigvals(J.entries.astype(complex))
+
+
 def is_stable(J: FluctuationMatrix) -> bool:
     """True iff every drift eigenvalue has real part < -1e-12."""
-    if J.kind != "jacobian":
-        raise ValueError("stability test expects a jacobian")
-    eigvals = np.linalg.eigvals(J.entries.astype(complex))
-    return bool(np.all(eigvals.real < -TOL.stability_margin))
+    return bool(np.all(drift_eigenvalues(J).real < -TOL.stability_margin))

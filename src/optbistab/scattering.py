@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CorrelationVector, resolvent_component
+from .covariance import CorrelationVector
 from .numerics import TOL
 from .params import params_meta
 from .spectra import SpectrumSeries, resolvent_anchor
@@ -231,11 +231,10 @@ def auxiliary_spectrum(params, X, channel: AuxiliaryChannel, y_grid) -> Spectrum
     rather than skipped, so the cancellation is a computed fact.
     """
     y = np.asarray(y_grid, dtype=float)
-    J, c0, comp, _ = resolvent_anchor(params, X, "atomic")
+    _, resolve, c0, comp, norm = resolvent_anchor(params, X, "atomic")
     pref = channel.prefactor
     scaled_c0 = CorrelationVector(row=c0.row, entries=pref * c0.entries, tau_bar=0.0)
-    norm = pref * c0[comp].real  # equal-time output flux (scaled units)
-    values = resolvent_component(J, scaled_c0, -1j * y, comp).real / (np.pi * norm)
+    values = resolve(scaled_c0, -1j * y, comp).real / (np.pi * (pref * norm))
     return SpectrumSeries(
         y=y, values=values, kind="atomic", method="auxiliary-channel",
         params=params_meta(params, X=X, g_aux=channel.g_aux,

@@ -20,12 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import covariance_row, resolvent_component, solve_lyapunov
+from .covariance import UnstableDriftError, covariance_row, linearize, resolvent
 from .lindyn import (
     RegimeWarning,
-    build_diffusion,
-    build_jacobian,
-    is_stable,
     regime_violation,
     saturation_factor,  # noqa: F401  (part of this module's public surface)
     weak_scales,
@@ -34,8 +31,7 @@ from .numerics import TOL, ConditioningError, quadrature
 from .params import params_meta
 
 
-class UnstableOperatingPointError(ValueError):
-    """Linearized spectra are undefined on an unstable branch."""
+UnstableOperatingPointError = UnstableDriftError  # one class for an unstable point
 
 CLOSED_FORM_VARIANTS = (
     "weak-closed",
@@ -81,7 +77,6 @@ class SpectrumSeries:
     method: str
     params: dict = field(default_factory=dict)
     validity_window: tuple | None = None
-    normalization: dict | None = None
     warnings: tuple = ()
 
     def __post_init__(self):
@@ -190,6 +185,15 @@ def _closed_form_guards(variant, params, X):
     return tuple(msgs)
 
 
+def _require_inputs(variant, params, X):
+    """Reject a call that lacks the params or the X its variant reads."""
+    if params is None and variant != "upper-branch":
+        raise ValueError(f"variant {variant!r} requires params")
+    if X is None and variant in ("upper-branch", "upper-forward-bad-cavity",
+                                 "numeric-atomic", "numeric-forward"):
+        raise ValueError(f"variant {variant!r} requires X")
+
+
 def spectrum_closed_form(variant, params=None, X=None, y_grid=None) -> SpectrumSeries:
     """Closed-form limit spectrum on a frequency grid.
 
@@ -204,11 +208,7 @@ def spectrum_closed_form(variant, params=None, X=None, y_grid=None) -> SpectrumS
     if y_grid is None:
         raise ValueError("y_grid is required")
     y = np.asarray(y_grid, dtype=float)
-    needs_params = variant not in ("upper-branch",)
-    if needs_params and params is None:
-        raise ValueError(f"variant {variant!r} requires params")
-    if variant in ("upper-branch", "upper-forward-bad-cavity") and X is None:
-        raise ValueError(f"variant {variant!r} requires X")
+    _require_inputs(variant, params, X)
     warn_msgs = _closed_form_guards(variant, params, X)
     values = _closed_form_values(variant, y, params, X)
     window = None
@@ -233,24 +233,19 @@ def resolvent_anchor(params, X, kind):
     the nu component; kind="forward" anchors z* and reads z. Requires X > 0
     (at X = 0 there is no incoherent component to normalize), a stable
     operating point and a positive incoherent weight. Returns
-    (J, c0, comp, norm) with norm = Re c0[comp].
+    (J, resolve, c0, comp, norm) with resolve = resolvent(J), norm = Re c0[comp].
     """
     if kind not in ("atomic", "forward"):
         raise ValueError(f"kind must be 'atomic' or 'forward', got {kind!r}")
     if X == 0:
         raise ValueError("no incoherent component at X = 0")
-    J = build_jacobian(params, X, regime="full")
-    if not is_stable(J):
-        raise UnstableOperatingPointError(
-            f"operating point X={X:g} is not stable; spectrum undefined"
-        )
-    Cinf = solve_lyapunov(J, build_diffusion(X))
+    J, Cinf = linearize(params, X)
     row, comp = ("nu*", "nu") if kind == "atomic" else ("z*", "z")
     c0 = covariance_row(Cinf, row)
     norm = c0[comp].real
     if norm <= 0:
         raise ValueError(f"incoherent weight {row}->{comp} is not positive")
-    return J, c0, comp, norm
+    return J, resolvent(J), c0, comp, norm
 
 
 def spectrum_numeric(params, X, kind, y_grid) -> SpectrumSeries:
@@ -262,8 +257,8 @@ def spectrum_numeric(params, X, kind, y_grid) -> SpectrumSeries:
     y = np.asarray(y_grid, dtype=float)
     if y.size == 0:
         raise ValueError("empty frequency grid")
-    J, c0, comp, norm = resolvent_anchor(params, X, kind)
-    values = resolvent_component(J, c0, -1j * y, comp).real / (np.pi * norm)
+    _, resolve, c0, comp, norm = resolvent_anchor(params, X, kind)
+    values = resolve(c0, -1j * y, comp).real / (np.pi * norm)
     return SpectrumSeries(
         y=y, values=values, kind=kind, method="numeric-resolvent",
         params=params_meta(params, X=X),
@@ -386,17 +381,17 @@ def verify_unit_area(variant, params=None, X=None):
     "numeric-atomic"/"numeric-forward". Returns the certified-area record;
     callers compare record["area"] + tail against 1.
     """
-    if variant in ("numeric-atomic", "numeric-forward"):
-        J, c0, comp, norm = resolvent_anchor(params, X, variant.split("-", 1)[1])
+    if variant not in UNIT_AREA_VARIANTS + ("numeric-atomic", "numeric-forward"):
+        raise ValueError(f"{variant!r} is not a unit-area variant")
+    _require_inputs(variant, params, X)
+    if variant.startswith("numeric-"):
+        J, resolve, c0, comp, norm = resolvent_anchor(params, X, variant.split("-", 1)[1])
 
         def evaluate(y):
-            return resolvent_component(J, c0, -1j * y, comp).real / (np.pi * norm)
+            return resolve(c0, -1j * y, comp).real / (np.pi * norm)
 
         feature = max(1.0, np.max(np.abs(np.linalg.eigvals(J.entries))))
     else:
-        if variant not in UNIT_AREA_VARIANTS:
-            raise ValueError(f"{variant!r} is not a unit-area variant")
-
         def evaluate(y):
             return _closed_form_values(variant, y, params, X)
 

@@ -17,7 +17,11 @@ from optbistab.correlations import (
     quadrature_variances,
     strong_field_ratio,
 )
-from optbistab.covariance import evolve_correlation_vector, weak_covariance_row
+from optbistab.covariance import (
+    UnstableDriftError,
+    evolve_correlation_vector,
+    weak_covariance_row,
+)
 from optbistab.lindyn import RegimeWarning, build_jacobian
 from optbistab.params import SystemParams, from_raw_rates
 
@@ -181,6 +185,12 @@ class TestNumericRoute:
     def test_unstable_point_rejected(self, p51):
         with pytest.raises(ValueError, match="not stable"):
             g2_numeric(p51, 2.0, TAUS)
+
+    def test_unstable_point_raises_the_drift_error(self, p51):
+        with pytest.raises(UnstableDriftError, match="X=2 is not stable"):
+            g2_numeric(p51, 2.0, TAUS)
+        with pytest.raises(UnstableDriftError, match="X=2 is not stable"):
+            quadrature_variances(p51, 2.0)
 
 
 class TestNegativeDelays:

@@ -23,6 +23,7 @@ from optbistab.covariance import (
     covariance_row,
     evolve_correlation_vector,
     laplace_correlation_vector,
+    linearize,
     resolvent_component,
     solve_lyapunov,
     strong_covariance_closed,
@@ -79,6 +80,13 @@ class TestSolveLyapunov:
         scale = max(1.0, np.max(np.abs(ours)))
         assert np.max(np.abs(ours - ref1)) <= 1e-10 * scale
         assert np.max(np.abs(ours - ref2)) <= 1e-9 * scale
+
+    def test_linearize_is_the_full_drift_and_its_covariance(self, weak_params):
+        J, C = linearize(weak_params, 0.01)
+        J_ref = build_jacobian(weak_params, 0.01, "full")
+        assert np.array_equal(J.entries, J_ref.entries)
+        assert np.array_equal(C.entries,
+                              solve_lyapunov(J_ref, build_diffusion(0.01)).entries)
 
     def test_unstable_drift_rejected(self, weak_params):
         J = build_jacobian(weak_params, 2.0, "full")  # middle root

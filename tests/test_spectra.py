@@ -1,10 +1,12 @@
 """Spectra: numeric resolvent route against every closed-form limit."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from optbistab import covariance as covariance_mod
 from optbistab.covariance import weak_covariance_row
 from optbistab.lindyn import RegimeWarning
 from optbistab.numerics import ConditioningError
@@ -80,6 +82,30 @@ class TestNumericSpectrum:
     def test_unit_area_rejects_unstable_point(self, p51):
         with pytest.raises(UnstableOperatingPointError):
             verify_unit_area("numeric-atomic", p51, 2.0)
+
+    @pytest.mark.parametrize("variant, with_params, X", [
+        ("weak-closed", False, None),
+        ("bad-cavity", False, None),
+        ("upper-forward-lorentzian", False, 100.0),
+        ("upper-branch", True, None),
+        ("numeric-atomic", False, 0.01),
+        ("numeric-atomic", True, None),
+        ("numeric-forward", True, None),
+    ])
+    def test_unit_area_names_a_missing_input(self, p51, variant, with_params, X):
+        with pytest.raises(ValueError, match=f"variant '{variant}' requires"):
+            verify_unit_area(variant, p51 if with_params else None, X)
+
+    def test_unit_area_builds_one_model_and_one_certificate(self, p51):
+        # the tail probe and the half grid both read the one eigenbasis bound
+        bound, solve = covariance_mod._eigenbasis_bound, covariance_mod.solve_lyapunov
+        with mock.patch.object(covariance_mod, "_eigenbasis_bound",
+                               side_effect=bound) as bound_spy, \
+                mock.patch.object(covariance_mod, "solve_lyapunov",
+                                  side_effect=solve) as solve_spy:
+            verify_unit_area("numeric-atomic", p51, 0.01)
+        assert bound_spy.call_count == 1
+        assert solve_spy.call_count == 1
 
 
 class TestClosedForms:
