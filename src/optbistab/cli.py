@@ -237,8 +237,8 @@ def cmd_spectrum(args):
 def cmd_g2(args):
     if args.preset:
         return cmd_preset(args)
-    if args.taumax <= 0:
-        raise UsageError("g2 needs --taumax > 0")
+    if not 0 < args.taumax < np.inf:
+        raise UsageError("g2 needs a finite --taumax > 0")
     params = resolve_params(args, need_N=True)
     grid = np.linspace(0.0, args.taumax, args.points)
     if args.variant == "numeric":

@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import (
+    checked_delays,
     covariance_row,
     linearize,
     strong_covariance_closed,
     weak_covariance_row,
 )
 from .lindyn import RegimeWarning, regime_violation, weak_scales
-from .numerics import matrix_exponential
+from .numerics import propagate
 from .params import params_meta
 from .steady_state import steady_moments
 
@@ -79,15 +80,6 @@ def _sin_over(G, t):
     return np.where(np.abs(Gt) < 1e-8, t * (1.0 - Gt * Gt / 6.0), np.sin(Gt) / safe_G)
 
 
-def _delays(tau_bar_grid):
-    # the correlators here are defined for tau >= 0 (g2 is even in the delay);
-    # a negative delay is a caller error, not exp(J tau)
-    t = np.asarray(tau_bar_grid, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("tau_bar must be nonnegative")
-    return t
-
-
 def _real_checked(values):
     values = np.asarray(values)
     if np.max(np.abs(values.imag)) > 1e-9 * max(1.0, np.max(np.abs(values.real))):
@@ -100,9 +92,10 @@ def anomalous_correlator_time(params, X, tau_bar):
 
     Decaying oscillation at the vacuum Rabi frequency under the envelope
     exp(-(xi+1) tau_bar / 2); equals the equal-time anomalous entry of the
-    weak covariance row at tau_bar = 0. Delays must be nonnegative.
+    weak covariance row at tau_bar = 0. Delays must be finite and
+    nonnegative.
     """
-    t = _delays(tau_bar)
+    t = checked_delays(tau_bar)
     if msg := regime_violation(params.C, X, "weak"):
         warnings.warn(msg, RegimeWarning, stacklevel=2)
     two_C, xi = 2.0 * params.C, params.xi
@@ -128,13 +121,13 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
     atomic-impedance and forward-impedance (both require xi = 1 exactly),
     atomic-strong. Weak variants warn outside X << X_minus; the strong
     variant warns outside X >> X_plus and unless X^2 << N. Delays must be
-    nonnegative.
+    finite and nonnegative.
     """
     if variant not in G2_VARIANTS:
         raise ValueError(f"unknown g2 variant {variant!r}")
     if params.N < 1:
         raise ValueError("N must be >= 1")
-    t = _delays(tau_bar_grid)
+    t = checked_delays(tau_bar_grid)
     two_C, xi, N = 2.0 * params.C, params.xi, params.N
     warn_msgs = []
     if variant.endswith("impedance") and abs(xi - 1.0) > 1e-12:
@@ -207,34 +200,23 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
 def g2_numeric(params, X, tau_bar_grid) -> CorrelationSeries:
     """Intensity correlation from the stationary covariance and propagator.
 
-    Valid at any stable operating point. The atomic correlation row is
-    propagated through the full drift; the polarization amplitude is
-    p = X/(1+X^2) from the steady solution. Negative values are flagged,
-    never clamped: they diagnose the breakdown of the linearized treatment.
-    Delays must be nonnegative.
+    Valid at any stable operating point. The atomic correlation row c0 is
+    propagated through the full drift to every delay at once, by one
+    `numerics.propagate` call on any grid, uniform or not; the value at
+    tau_bar = 0 is the equal-time formula on c0 itself. The polarization
+    amplitude is p = X/(1+X^2) from the steady solution. Negative values
+    are flagged, never clamped: they diagnose the breakdown of the
+    linearized treatment. Delays must be finite and nonnegative.
     """
     if X == 0:
         raise ValueError("coherent amplitude vanishes at X = 0")
-    t = _delays(tau_bar_grid)
+    t = checked_delays(tau_bar_grid)
     J, Cinf = linearize(params, X)
     c0 = covariance_row(Cinf, "nu*").entries
     p = abs(steady_moments(X)[1])
     norm = (p * p + c0[2].real / params.N) ** 2
-    vals = np.empty_like(t)
-    # the k-th power of one step propagator lands on t_k only when t_k is
-    # k*dt to rounding; a relative test would pass a drifting grid
-    uniform = t.size > 1 and t[0] == 0.0 and np.all(
-        np.abs(t - np.arange(t.size) * t[1]) <= 4.0 * np.spacing(np.abs(t)))
-    if uniform:
-        U = matrix_exponential(J.entries, t[1])
-        c = c0.copy()
-        for k in range(t.size):
-            vals[k] = 1.0 + (2.0 / params.N) * p * p * (c[2] + c[3]).real / norm
-            c = U @ c
-    else:
-        for k, tk in enumerate(t):
-            c = matrix_exponential(J.entries, tk) @ c0
-            vals[k] = 1.0 + (2.0 / params.N) * p * p * (c[2] + c[3]).real / norm
+    c = propagate(J.entries, t, c0)
+    vals = 1.0 + (2.0 / params.N) * p * p * (c[:, 2] + c[:, 3]).real / norm
     warn_msgs = []
     if np.any(vals < 0):
         msg = "negative g2 values: linearized theory invalid at these parameters"

@@ -34,7 +34,7 @@ from .numerics import (
     TOL,
     ConditioningError,
     SingularMatrixError,
-    matrix_exponential,
+    propagate,
     solve_complex_linear,
 )
 
@@ -204,17 +204,27 @@ def strong_covariance_closed(params, X):
     )
 
 
+def checked_delays(tau_bar):
+    """tau_bar as floats; g2 is even in the delay, so a negative delay is a
+    caller error, not exp(J tau), and so is a NaN or infinite one."""
+    t = np.asarray(tau_bar, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("tau_bar must be finite and nonnegative")
+    if np.any(t < 0):
+        raise ValueError("tau_bar must be nonnegative")
+    return t
+
+
 def evolve_correlation_vector(J: FluctuationMatrix, c0: CorrelationVector,
                               tau_bar) -> CorrelationVector:
-    """Propagate an equal-time row to delay tau_bar: exp(J tau_bar) c0."""
+    """Propagate an equal-time row to a finite delay tau_bar >= 0: exp(J tau_bar) c0."""
     if J.kind != "jacobian":
         raise ValueError("expected a jacobian")
-    if tau_bar < 0:
-        raise ValueError("tau_bar must be nonnegative")
-    if tau_bar == 0.0:
+    t = float(checked_delays(tau_bar))
+    if t == 0.0:
         return c0
-    U = matrix_exponential(J.entries, tau_bar)
-    return CorrelationVector(row=c0.row, entries=U @ c0.entries, tau_bar=float(tau_bar))
+    entries = propagate(J.entries, [t], c0.entries)[0]
+    return CorrelationVector(row=c0.row, entries=entries, tau_bar=t)
 
 
 # Frequencies per stacked solve: large enough to amortize numpy's per-call

@@ -3,7 +3,8 @@
 Everything here operates on matrices of dimension <= 16 (the physics needs
 5x5) and is deterministic: identical inputs give identical outputs. The
 kernels are thin, checked wrappers around LAPACK via numpy, plus fixed-step
-RK4 and composite trapezoid quadrature.
+RK4 and composite trapezoid quadrature. `propagate` is the one route to
+exp(A t) b: one eigendecomposition per call serves every delay.
 """
 
 from dataclasses import dataclass
@@ -63,7 +64,7 @@ def _check_matrix(A):
         raise ValueError("expected a square matrix")
     if A.shape[0] > MAX_DIM:
         raise ValueError(f"dense kernels are capped at n={MAX_DIM}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(np.imag(A))):
+    if not np.isfinite(A).all():
         raise ValueError("matrix contains NaN/Inf entries")
     return A
 
@@ -105,22 +106,42 @@ def solve_complex_linear(A, b):
     return x
 
 
-def matrix_exponential(A, t=1.0):
-    """exp(A t) by eigendecomposition, falling back to scaling-and-squaring.
+def propagate(A, times, b):
+    """exp(A t_k) b for every t_k in times, stacked along the first axis.
 
-    The fallback triggers when the eigenvector matrix is ill conditioned
-    (condition > TOL.expm_cond_max), e.g. for defective matrices.
+    One eigendecomposition A = V diag(w) V^-1 serves every delay: row k is
+    V diag(exp(w t_k)) y with V y = b. An ill-conditioned eigenbasis
+    (cond_2(V) > TOL.expm_cond_max or not finite, e.g. a defective A) sends
+    every delay to scaling-and-squaring (Moler and Van Loan, SIAM Rev. 45,
+    3 (2003)). b is a vector or a matrix; rows at t = 0 are b exactly.
     """
     A = _check_matrix(A)
-    M = np.asarray(A, dtype=complex) * t
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or not np.isfinite(t).all():
+        raise ValueError("times must be a 1-D array of finite values")
+    b = np.asarray(b)
     try:
-        w, V = np.linalg.eig(M)
-        cond = np.linalg.cond(V)
-        if np.isfinite(cond) and cond <= TOL.expm_cond_max:
-            return V @ (np.exp(w)[:, None] * np.linalg.inv(V))
+        w, V = np.linalg.eig(A)
+        sv = np.linalg.svd(V, compute_uv=False)
+        # cond_2(V) <= expm_cond_max without a division: NaN and sv[-1] = 0 fail
+        well_conditioned = sv[0] <= TOL.expm_cond_max * sv[-1]
     except np.linalg.LinAlgError:
-        pass
-    return _expm_pade(M)
+        well_conditioned = False
+    if well_conditioned:
+        E = np.exp(np.outer(t, w))
+        y = np.linalg.solve(V, b)
+        out = (E * y) @ V.T if b.ndim == 1 else V @ (E[:, :, None] * y)
+    else:
+        out = np.empty(t.shape + b.shape, dtype=complex)
+        for k, tk in enumerate(t):
+            out[k] = _expm_pade(A * tk) @ b
+    out[t == 0.0] = b
+    return out
+
+
+def matrix_exponential(A, t=1.0):
+    """exp(A t): the one-delay case of `propagate`, applied to the identity."""
+    return propagate(A, [t], np.eye(len(A)))[0]
 
 
 def integrate_ode(rhs, x0, t_max, dt):

@@ -208,6 +208,15 @@ class TestG2Command:
         assert rc == 2
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize("taumax", ["nan", "inf"])
+    def test_nonfinite_taumax_is_usage_error(self, tmp_path, capsys, taumax):
+        rc = cli.main(["g2", "--variant", "numeric", "--C", "5", "--xi", "1",
+                       "--N", "100", "--X", "0.01", "--taumax", taumax,
+                       "--out", str(tmp_path / "g")])
+        assert rc == 2
+        assert "finite --taumax" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
     def test_needs_atom_number(self, tmp_path):
         rc = cli.main(["g2", "--variant", "atomic-weak", "--C", "5", "--xi", "1",
                        "--out", str(tmp_path / "g")])

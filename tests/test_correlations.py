@@ -19,11 +19,14 @@ from optbistab.correlations import (
 )
 from optbistab.covariance import (
     UnstableDriftError,
+    covariance_row,
     evolve_correlation_vector,
+    linearize,
     weak_covariance_row,
 )
 from optbistab.lindyn import RegimeWarning, build_jacobian
 from optbistab.params import SystemParams, from_raw_rates
+from optbistab.steady_state import steady_moments
 
 TAUS = np.linspace(0.0, 6.0, 601)
 
@@ -172,11 +175,49 @@ class TestNumericRoute:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_linspace_grid_takes_one_propagator(self, p51):
-        expm = correlations_mod.matrix_exponential
-        with mock.patch.object(correlations_mod, "matrix_exponential",
-                               side_effect=expm) as spy:
-            g2_numeric(p51, 0.3, np.linspace(0.0, 6.0, 1201))
-        assert spy.call_count == 1
+        # one propagation per call, not one per delay, whatever the grid:
+        # uniform, log-spaced, or drifting off k*dt
+        steps = 0.01 * (1.0 + 4e-6 * np.linspace(0.0, 1.0, 600))
+        grids = (np.linspace(0.0, 6.0, 1201),
+                 np.concatenate([[0.0], np.logspace(-3.0, np.log10(6.0), 200)]),
+                 np.concatenate([[0.0], np.cumsum(steps)]))
+        kernel = correlations_mod.propagate
+        for grid in grids:
+            with mock.patch.object(correlations_mod, "propagate",
+                                   side_effect=kernel) as spy:
+                g2_numeric(p51, 0.3, grid)
+            assert spy.call_count == 1
+            assert spy.call_args.args[1].size == grid.size
+
+    def test_zero_delay_is_equal_time_formula(self, p51):
+        X = 0.3
+        got = g2_numeric(p51, X, np.linspace(0.0, 6.0, 1201)).values[0]
+        _, Cinf = linearize(p51, X)
+        c0 = covariance_row(Cinf, "nu*").entries
+        p = abs(steady_moments(X)[1])
+        norm = (p * p + c0[2].real / p51.N) ** 2
+        assert got == 1.0 + (2.0 / p51.N) * p * p * (c0[2] + c0[3]).real / norm
+
+    def test_exceptional_point_matches_expm(self):
+        # 2 C xi = (xi - 1)^2 / 4: the weak-field drift is nearly defective,
+        # and its eigenbasis has cond(V) ~ 1e5, inside TOL.expm_cond_max
+        xi = 20.0
+        p = SystemParams(C=(xi - 1.0) ** 2 / (8.0 * xi), xi=xi, N=10**4)
+        X = 1e-4
+        t = np.linspace(0.0, 10.0, 101)
+        J, Cinf = linearize(p, X)
+        assert 1e4 < np.linalg.cond(np.linalg.eig(J.entries)[1]) < 1e6
+        c0 = covariance_row(Cinf, "nu*")
+        want = np.array([scipy.linalg.expm(J.entries * tk) @ c0.entries for tk in t])
+        scale = np.max(np.abs(c0.entries))
+        rows = np.array([evolve_correlation_vector(J, c0, tk).entries for tk in t])
+        assert np.max(np.abs(rows - want)) <= 1e-10 * scale
+        pol = X / (1.0 + X * X)
+        norm = (pol * pol + c0.entries[2].real / p.N) ** 2
+        g2_want = 1.0 + (2.0 / p.N) * pol * pol * (want[:, 2] + want[:, 3]).real / norm
+        got = g2_numeric(p, X, t).values
+        # the same bound on c, carried through g2's linear map of c
+        assert np.max(np.abs(got - g2_want)) <= 1e-10 * (2.0 / p.N) * pol * pol * scale / norm
 
     def test_dark_cavity_rejected(self, p51):
         with pytest.raises(ValueError, match="vanishes"):
@@ -212,6 +253,29 @@ class TestNegativeDelays:
     def test_anomalous_correlator(self, p51, tau):
         with pytest.raises(ValueError, match="tau_bar must be nonnegative"):
             anomalous_correlator_time(p51, 0.01, tau)
+
+
+class TestNonFiniteDelays:
+    """exp(J tau) at tau = inf or NaN is no delay at all: rejected, not NaN."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_numeric_grid(self, p51, bad):
+        with pytest.raises(ValueError, match="tau_bar must be finite and nonnegative"):
+            g2_numeric(p51, 0.01, np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_closed_form_grid(self, p51, bad):
+        with pytest.raises(ValueError, match="tau_bar must be finite and nonnegative"):
+            g2_closed_form("atomic-weak", p51, tau_bar_grid=np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_scalar(self, p51, bad):
+        J = build_jacobian(p51, 0.01, "full")
+        c0 = weak_covariance_row(p51, 0.01)
+        with pytest.raises(ValueError, match="tau_bar must be finite and nonnegative"):
+            evolve_correlation_vector(J, c0, bad)
+        with pytest.raises(ValueError, match="tau_bar must be finite and nonnegative"):
+            anomalous_correlator_time(p51, 0.01, bad)
 
 
 class TestAnomalousCorrelator:

@@ -1,14 +1,19 @@
 """Kernel tests with brute-force oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import integrate_linear_ode
+from optbistab import numerics as numerics_mod
 from optbistab.numerics import (
     DivergenceError,
     SingularMatrixError,
     integrate_ode,
     matrix_exponential,
+    propagate,
     quadrature,
     solve_complex_linear,
 )
@@ -108,6 +113,61 @@ class TestMatrixExponential:
             term = term @ A / k
             series = series + term
         assert np.allclose(matrix_exponential(A, 1.0), series, atol=1e-12)
+
+
+class TestPropagate:
+    def test_matches_expm_on_random_stable_matrices(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            A = rng.normal(size=(5, 5))
+            A -= (np.max(np.linalg.eigvals(A).real) + rng.uniform(0.1, 2.0)) * np.eye(5)
+            b = rng.normal(size=5) + 1j * rng.normal(size=5)
+            t = np.sort(rng.uniform(0.0, 10.0, 40))
+            got = propagate(A, t, b)
+            assert got.shape == (t.size, 5)
+            for tk, row in zip(t, got):
+                want = scipy.linalg.expm(A * tk) @ b
+                assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_zero_delay_rows_are_b_exactly(self):
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(5, 5))
+        b = rng.normal(size=5) + 1j * rng.normal(size=5)
+        out = propagate(A, [0.0, 0.5, 0.0], b)
+        assert np.array_equal(out[0], b) and np.array_equal(out[2], b)
+
+    def test_matrix_right_hand_side_is_columnwise(self):
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(4, 4))
+        B = rng.normal(size=(4, 3))
+        t = [0.3, 1.7]
+        got = propagate(A, t, B)
+        assert got.shape == (2, 4, 3)
+        for j in range(3):
+            assert np.allclose(got[:, :, j], propagate(A, t, B[:, j]), rtol=0, atol=1e-13)
+
+    def test_defective_takes_pade_and_is_exact(self):
+        # a Jordan block has no eigenbasis: every delay goes to scaling-and-squaring
+        A = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
+        N = A + np.eye(3)
+        b = np.array([0.5, -2.0, 1.0])
+        t = np.array([0.0, 0.25, 1.0, 3.5])
+        pade = numerics_mod._expm_pade
+        with mock.patch.object(numerics_mod, "_expm_pade", side_effect=pade) as spy:
+            got = propagate(A, t, b)
+        assert spy.call_count == t.size
+        for tk, row in zip(t, got):
+            want = np.exp(-tk) * (np.eye(3) + N * tk + N @ N * tk * tk / 2.0) @ b
+            assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        A = -np.eye(3)
+        with pytest.raises(ValueError):
+            propagate(A, [0.0, bad], np.ones(3))
+        A[1, 2] = bad
+        with pytest.raises(ValueError):
+            propagate(A, [0.0, 1.0], np.ones(3))
 
 
 class TestIntegrateODE:
