@@ -148,8 +148,6 @@ def cmd_curve(args):
     if args.xmax is None or args.xmax <= 0:
         raise UsageError("curve needs --xmax > 0 (or --y)")
     C = args.C
-    if C is None:
-        raise UsageError("curve needs --C")
     rows, tp = steady_state.curve_points(C, args.xmax, n=args.points)
     meta = {"C": C, "command": "curve", "seed": args.seed}
     if tp.exists or tp.degenerate:
@@ -164,10 +162,8 @@ def cmd_curve(args):
 
 def _solve_common(args, Y, command="solve"):
     C = args.C
-    if C is None:
-        raise UsageError("solving the state equation needs --C")
-    if Y < 0:
-        raise UsageError("the drive Y must be nonnegative")
+    if not 0 <= Y < np.inf:
+        raise UsageError("the drive Y must be finite and nonnegative")
     points = steady_state.solve_state_equation(C, Y)
     rows = [(pt.X, pt.Y, pt.branch) for pt in points]
     meta = {"C": C, "Y": Y, "command": command, "seed": args.seed}
@@ -213,8 +209,9 @@ def cmd_spectrum(args):
     grid = np.linspace(-args.ymax, args.ymax, args.points)
     if args.method == "numeric":
         X = _pick_operating_point(params, args)
-        series = spectra.spectrum_numeric(params, X, args.kind, grid)
-        check = spectra.verify_unit_area(f"numeric-{args.kind}", params, X)
+        anchor = spectra.resolvent_anchor(params, X, args.kind)
+        series = spectra.spectrum_numeric(params, X, args.kind, grid, anchor=anchor)
+        check = spectra.verify_unit_area(f"numeric-{args.kind}", params, X, anchor=anchor)
         norm_note = [f"unit-area check: {check['area']:.6f} "
                      f"(tail bound {check['tail_bound']:.2e})"]
     else:
@@ -400,6 +397,9 @@ def main(argv=None):
 def _run(args):
     """Run the chosen command; map its failure to an exit code."""
     try:
+        for flag in ("X", "Y"):
+            if not np.isfinite(getattr(args, flag, None) or 0.0):  # unset reads 0
+                raise UsageError(f"--{flag} must be finite")
         rc = args.func(args)
         return rc if isinstance(rc, int) else EXIT_OK
     except UsageError as exc:

@@ -25,7 +25,6 @@ from .lindyn import (
     RegimeWarning,
     build_diffusion,
     build_jacobian,
-    drift_eigenvalues,
     is_stable,
     regime_violation,
     saturation_factor,
@@ -34,6 +33,7 @@ from .numerics import (
     TOL,
     ConditioningError,
     SingularMatrixError,
+    eigenbasis,
     propagate,
     solve_complex_linear,
 )
@@ -153,8 +153,8 @@ def weak_covariance_row(params, X) -> CorrelationVector:
     stationary covariance actually produces, and the one every Laplace and
     time-domain closed form in this package is consistent with.
     """
-    if X < 0:
-        raise ValueError("X must be nonnegative")
+    if not 0 <= X < np.inf:
+        raise ValueError("X must be finite and nonnegative")
     if msg := regime_violation(params.C, X, "weak"):
         warnings.warn(msg, RegimeWarning, stacklevel=2)
     two_C, xi = 2.0 * params.C, params.xi
@@ -177,8 +177,8 @@ def strong_covariance_closed(params, X):
     factor K(X, xi); the atomic row is (., ., 1, 0, 0) with the two field
     components filled by covariance symmetry with the field row.
     """
-    if X <= 0:
-        raise ValueError("X must be positive")
+    if not 0 < X < np.inf:
+        raise ValueError("X must be finite and positive")
     if msg := regime_violation(params.C, X, "strong"):
         warnings.warn(msg, RegimeWarning, stacklevel=2)
     two_C, xi = 2.0 * params.C, params.xi
@@ -233,32 +233,26 @@ def evolve_correlation_vector(J: FluctuationMatrix, c0: CorrelationVector,
 _RESOLVENT_BLOCK = 256
 
 
-def _eigenbasis_bound(J):
-    """(w, kappa, r) with sigma_min(s I - J) >= min_k |s - w_k| / kappa - r.
+def _eigenbasis_bound(A, eig):
+    """(kappa, r) with sigma_min(s I - A) >= min_k |s - w_k| / kappa - r.
 
-    From the computed eigenpairs J V = V diag(w) + R: then
-    s I - J = V (s I - diag(w)) V^-1 - R V^-1, so kappa = cond_2(V) and
+    From eig = numerics.eigenbasis(A), A V = V diag(w) + R: then
+    s I - A = V (s I - diag(w)) V^-1 - R V^-1, so kappa = cond_2(V) and
     r = ||R||_F / sigma_min(V), with R widened by the rounding of its own
-    evaluation. Returns None, proving nothing, when V is singular or not finite.
+    evaluation. None, proving nothing, when there is no basis or V is singular.
     """
-    try:
-        w, V = np.linalg.eig(J)
-    except np.linalg.LinAlgError:
+    w, V, sv = eig
+    if sv is None or not sv[-1] > 0:
         return None
-    if not np.all(np.isfinite(V)):
-        return None
-    sv = np.linalg.svd(V, compute_uv=False)
-    if not sv[-1] > 0:
-        return None
-    R = J @ V - V * w
-    rounding = (J.shape[0] + 4) * np.finfo(float).eps * (
-        np.abs(J) @ np.abs(V) + np.abs(V) * np.abs(w)
+    R = A @ V - V * w
+    rounding = (A.shape[0] + 4) * np.finfo(float).eps * (
+        np.abs(A) @ np.abs(V) + np.abs(V) * np.abs(w)
     )
     r = (np.linalg.norm(R) + np.linalg.norm(rounding)) / sv[-1]
-    return w, sv[0] / sv[-1], r
+    return sv[0] / sv[-1], r
 
 
-def _uncertified(certificate, s, floor):
+def _uncertified(w, certificate, s, floor):
     """Indices of the points s whose singular-value floor the bound cannot clear.
 
     A point is certified when the eigenbasis lower bound on sigma_min(s I - J)
@@ -267,35 +261,29 @@ def _uncertified(certificate, s, floor):
     """
     if certificate is None:
         return np.arange(s.size)
-    w, kappa, r = certificate
+    kappa, r = certificate
     lower = np.min(np.abs(w[None, :] - s[:, None]), axis=1) / kappa - r
     return np.flatnonzero(~(lower > 2.0 * floor))
 
 
-def _condition(A):
-    """2-norm condition number of one matrix, inf when it is singular."""
-    sv = np.linalg.svd(A, compute_uv=False)
-    return np.inf if sv[-1] == 0 else sv[0] / sv[-1]
-
-
-def _resolve_block(J, spectrum, b, s):
+def _resolve_block(J, w, certificate, b, s):
     """Solve (s_k I - J) x_k = b for one block of points s, as an (m, 5) array.
 
     Runs the checks of a point-by-point laplace_correlation_vector loop on the
-    whole block at once: the pole gap against the drift eigenvalues, then the
-    singular-value test and residual bound of solve_complex_linear. The
+    whole block at once: the pole gap against the drift eigenvalues w, then
+    the singular-value test and residual bound of solve_complex_linear. The
     stacked SVD of the singular-value test runs only on the points the
-    eigenbasis bound cannot certify; the verdict is the same. An error names
-    the first point that fails, with the type that loop would raise.
+    eigenbasis bound, the certificate, cannot clear (all of them when it is
+    None); the verdict is the same. An error names the first point that fails, with the
+    type that loop would raise.
     """
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(b))):
         raise ValueError("resolvent inputs contain NaN/Inf entries")
-    eigvals, certificate = spectrum
-    gaps = np.min(np.abs(eigvals[None, :] - s[:, None]), axis=1)
+    gaps = np.min(np.abs(w[None, :] - s[:, None]), axis=1)
     A = s[:, None, None] * np.eye(5, dtype=complex) - J
     norm_A = np.abs(A).sum(axis=2).max(axis=1)
     floor = TOL.singular_rel * np.maximum(norm_A, 1e-300)
-    unsure = _uncertified(certificate, s, floor)
+    unsure = _uncertified(w, certificate, s, floor)
     singular = np.zeros(s.size, dtype=bool)
     if unsure.size:
         sv_min = np.linalg.svd(A[unsure], compute_uv=False)[:, -1]
@@ -311,7 +299,7 @@ def _resolve_block(J, spectrum, b, s):
     failed = np.flatnonzero(resid > np.maximum(bound, 1e-300))
     if failed.size:
         k = failed[0]
-        cond = _condition(A[k])
+        cond = np.linalg.cond(A[k])
         raise ConditioningError(
             f"linear solve residual {resid[k]:.3e} exceeds bound {bound[k]:.3e} "
             f"at s_bar={s[k]:g} (condition ~ {cond:.3e})",
@@ -322,7 +310,7 @@ def _resolve_block(J, spectrum, b, s):
             raise ConditioningError(
                 f"s_bar={s[m]:g} is within {gaps[m]:.3e} of a drift eigenvalue"
             )
-        cond = _condition(A[m])
+        cond = np.linalg.cond(A[m])
         raise SingularMatrixError(
             f"resolvent at s_bar={s[m]:g} is numerically singular "
             f"(condition ~ {cond:.3e})",
@@ -331,10 +319,14 @@ def _resolve_block(J, spectrum, b, s):
     return x
 
 
-def resolvent(J: FluctuationMatrix):
-    """resolvent_component at J as a function of (c0, s_bar, comp); every call
-    reads the drift eigenvalues and eigenbasis bound computed once, here."""
-    spectrum = (drift_eigenvalues(J), _eigenbasis_bound(J.entries))
+def resolvent(J: FluctuationMatrix, eig):
+    """(c0, s_bar, comp) -> component comp of (s_bar I - J)^{-1} c0 at every
+    point of s_bar, with the checks and errors of laplace_correlation_vector.
+
+    eig = numerics.eigenbasis(J.entries) gives the pole gaps and, once, the
+    eigenbasis bound. Points go in fixed blocks, keeping one component each.
+    """
+    w, cert = eig[0], _eigenbasis_bound(J.entries, eig)
 
     def component(c0, s_bar, comp):
         s = np.atleast_1d(np.asarray(s_bar, dtype=complex))
@@ -342,22 +334,10 @@ def resolvent(J: FluctuationMatrix):
         out = np.empty(s.size, dtype=complex)
         for start in range(0, s.size, _RESOLVENT_BLOCK):
             block = slice(start, start + _RESOLVENT_BLOCK)
-            out[block] = _resolve_block(J.entries, spectrum, c0.entries, s[block])[:, k]
+            out[block] = _resolve_block(J.entries, w, cert, c0.entries, s[block])[:, k]
         return out
 
     return component
-
-
-def resolvent_component(J: FluctuationMatrix, c0: CorrelationVector, s_bar,
-                        comp) -> np.ndarray:
-    """Component `comp` of (s_bar I - J)^{-1} c0 at every point of s_bar.
-
-    The many-point form of laplace_correlation_vector, with the same checks
-    and errors at every point; it walks s_bar in fixed blocks and keeps only
-    the one component, so memory does not grow with five per point. Returns
-    an (n,) complex array.
-    """
-    return resolvent(J)(c0, s_bar, comp)
 
 
 def laplace_correlation_vector(J: FluctuationMatrix, c0: CorrelationVector,
@@ -369,6 +349,6 @@ def laplace_correlation_vector(J: FluctuationMatrix, c0: CorrelationVector,
     """
     s = complex(s_bar)
     # one point: its SVD costs less than the eigenbasis bound that would spare it
-    spectrum = (drift_eigenvalues(J), None)
-    x = _resolve_block(J.entries, spectrum, c0.entries, np.array([s]))[0]
+    w = np.linalg.eigvals(J.entries)
+    x = _resolve_block(J.entries, w, None, c0.entries, np.array([s]))[0]
     return CorrelationVector(row=c0.row, entries=x, s_bar=s)

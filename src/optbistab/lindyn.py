@@ -125,8 +125,8 @@ def build_jacobian(params, X, regime="full") -> FluctuationMatrix:
     field-to-atom feedback so the atomic block decouples (X >> X_plus).
     Regime guards warn, never block.
     """
-    if X < 0:
-        raise ValueError("X must be nonnegative")
+    if not 0 <= X < math.inf:
+        raise ValueError("X must be finite and nonnegative")
     if regime not in ("full", "weak", "strong"):
         raise ValueError(f"unknown regime {regime!r}")
     if regime != "full" and (msg := regime_violation(params.C, X, regime)):
@@ -151,8 +151,8 @@ def build_diffusion(X) -> FluctuationMatrix:
     w = 2 X^2/(1+X^2). Indefinite by construction; see the module docstring
     for why both polarization entries carry the minus sign.
     """
-    if X < 0:
-        raise ValueError("X must be nonnegative")
+    if not 0 <= X < math.inf:
+        raise ValueError("X must be finite and nonnegative")
     w = 2.0 * X * X / (1.0 + X * X)
     return FluctuationMatrix(np.diag([0.0, 0.0, -w, -w, 4.0 * w]), kind="diffusion")
 
@@ -194,13 +194,9 @@ def saturation_factor(X, xi):
     return (X * X + (xi + 1.0) * (xi + 3.0)) / (2.0 * X * X + xi * (xi + 3.0))
 
 
-def drift_eigenvalues(J: FluctuationMatrix) -> np.ndarray:
-    """The complex eigenvalues of a drift matrix."""
-    if J.kind != "jacobian":
-        raise ValueError("expected a jacobian")
-    return np.linalg.eigvals(J.entries.astype(complex))
-
-
 def is_stable(J: FluctuationMatrix) -> bool:
     """True iff every drift eigenvalue has real part < -1e-12."""
-    return bool(np.all(drift_eigenvalues(J).real < -TOL.stability_margin))
+    if J.kind != "jacobian":
+        raise ValueError("expected a jacobian")
+    w = np.linalg.eigvals(J.entries.astype(complex))
+    return bool(np.all(w.real < -TOL.stability_margin))

@@ -3,8 +3,8 @@
 Everything here operates on matrices of dimension <= 16 (the physics needs
 5x5) and is deterministic: identical inputs give identical outputs. The
 kernels are thin, checked wrappers around LAPACK via numpy, plus fixed-step
-RK4 and composite trapezoid quadrature. `propagate` is the one route to
-exp(A t) b: one eigendecomposition per call serves every delay.
+RK4 and composite trapezoid quadrature. `eigenbasis` is the one
+eigendecomposition; `propagate`, the one route to exp(A t) b, needs one.
 """
 
 from dataclasses import dataclass
@@ -106,28 +106,40 @@ def solve_complex_linear(A, b):
     return x
 
 
+def eigenbasis(A):
+    """(w, V, sv): the eigenvalues w of A, its eigenvectors V and the singular
+    values sv of V, largest first. V and sv are None, no basis, when eig or
+    the SVD of V fails or V is not finite; w comes from eigvals if eig fails.
+    """
+    try:
+        w, V = np.linalg.eig(A)
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvals(A), None, None
+    try:
+        if np.all(np.isfinite(V)):
+            return w, V, np.linalg.svd(V, compute_uv=False)
+    except np.linalg.LinAlgError:
+        pass
+    return w, None, None
+
+
 def propagate(A, times, b):
     """exp(A t_k) b for every t_k in times, stacked along the first axis.
 
     One eigendecomposition A = V diag(w) V^-1 serves every delay: row k is
-    V diag(exp(w t_k)) y with V y = b. An ill-conditioned eigenbasis
-    (cond_2(V) > TOL.expm_cond_max or not finite, e.g. a defective A) sends
-    every delay to scaling-and-squaring (Moler and Van Loan, SIAM Rev. 45,
-    3 (2003)). b is a vector or a matrix; rows at t = 0 are b exactly.
+    V diag(exp(w t_k)) y with V y = b. No eigenbasis, or an ill-conditioned
+    one (cond_2(V) > TOL.expm_cond_max, e.g. a defective A), sends every
+    delay to scaling-and-squaring (Moler and Van Loan, SIAM Rev. 45, 3
+    (2003)). b is a vector or a matrix; rows at t = 0 are b exactly.
     """
     A = _check_matrix(A)
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or not np.isfinite(t).all():
         raise ValueError("times must be a 1-D array of finite values")
     b = np.asarray(b)
-    try:
-        w, V = np.linalg.eig(A)
-        sv = np.linalg.svd(V, compute_uv=False)
-        # cond_2(V) <= expm_cond_max without a division: NaN and sv[-1] = 0 fail
-        well_conditioned = sv[0] <= TOL.expm_cond_max * sv[-1]
-    except np.linalg.LinAlgError:
-        well_conditioned = False
-    if well_conditioned:
+    w, V, sv = eigenbasis(A)
+    # cond_2(V) <= expm_cond_max without a division: sv[-1] = 0 fails
+    if sv is not None and sv[0] <= TOL.expm_cond_max * sv[-1]:
         E = np.exp(np.outer(t, w))
         y = np.linalg.solve(V, b)
         out = (E * y) @ V.T if b.ndim == 1 else V @ (E[:, :, None] * y)

@@ -89,8 +89,8 @@ def side_flux(params, X, theta, solid_angle) -> SideFluxResult:
     plus the weak-excitation form (3/8pi) sin^2(theta) * R X^2 with the
     scaled emission rate R = X^2/2 per gamma*N.
     """
-    if X < 0:
-        raise ValueError("X must be nonnegative")
+    if not 0 <= X < np.inf:
+        raise ValueError("X must be finite and nonnegative")
     if not (0.0 < solid_angle <= 4.0 * np.pi):
         raise ValueError("solid angle must lie in (0, 4 pi]")
     geom = (3.0 / (8.0 * np.pi)) * np.sin(theta) ** 2
@@ -231,10 +231,11 @@ def auxiliary_spectrum(params, X, channel: AuxiliaryChannel, y_grid) -> Spectrum
     rather than skipped, so the cancellation is a computed fact.
     """
     y = np.asarray(y_grid, dtype=float)
-    _, resolve, c0, comp, norm = resolvent_anchor(params, X, "atomic")
-    pref = channel.prefactor
+    anchor, pref = resolvent_anchor(params, X, "atomic"), channel.prefactor
+    c0 = anchor.c0
     scaled_c0 = CorrelationVector(row=c0.row, entries=pref * c0.entries, tau_bar=0.0)
-    values = resolve(scaled_c0, -1j * y, comp).real / (np.pi * (pref * norm))
+    values = (anchor.resolve(scaled_c0, -1j * y, anchor.comp).real
+              / (np.pi * (pref * anchor.norm)))
     return SpectrumSeries(
         y=y, values=values, kind="atomic", method="auxiliary-channel",
         params=params_meta(params, X=X, g_aux=channel.g_aux,

@@ -16,22 +16,15 @@ validity window |y| <= 2 xi with an O(xi) error.
 """
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import UnstableDriftError, covariance_row, linearize, resolvent
-from .lindyn import (
-    RegimeWarning,
-    regime_violation,
-    saturation_factor,  # noqa: F401  (part of this module's public surface)
-    weak_scales,
-)
-from .numerics import TOL, ConditioningError, quadrature
+from .covariance import CorrelationVector, covariance_row, linearize, resolvent
+from .lindyn import FluctuationMatrix, RegimeWarning, regime_violation, weak_scales
+from .numerics import TOL, ConditioningError, eigenbasis, quadrature
 from .params import params_meta
-
-
-UnstableOperatingPointError = UnstableDriftError  # one class for an unstable point
 
 CLOSED_FORM_VARIANTS = (
     "weak-closed",
@@ -226,14 +219,32 @@ def spectrum_closed_form(variant, params=None, X=None, y_grid=None) -> SpectrumS
 # numeric resolvent spectrum
 # ---------------------------------------------------------------------------
 
-def resolvent_anchor(params, X, kind):
+@dataclass(frozen=True)
+class ResolventAnchor:
+    """The model a numeric spectrum resolves at one operating point: the drift
+    J, its one eigendecomposition eig = numerics.eigenbasis(J.entries), the
+    anchor row c0 of the stationary covariance, the component comp read, the
+    incoherent weight norm = Re c0[comp] and resolve = resolvent(J, eig)."""
+
+    J: FluctuationMatrix
+    eig: tuple
+    c0: CorrelationVector
+    comp: str
+    norm: float
+    resolve: Callable
+
+    def values(self, y):
+        """T(y) = Re{[(-i y I - J)^{-1} c0]_comp} / (pi * norm)."""
+        return self.resolve(self.c0, -1j * y, self.comp).real / (np.pi * self.norm)
+
+
+def resolvent_anchor(params, X, kind) -> ResolventAnchor:
     """Everything a numeric spectrum resolves, with its preconditions checked.
 
     kind="atomic" anchors the nu* row of the stationary covariance and reads
     the nu component; kind="forward" anchors z* and reads z. Requires X > 0
     (at X = 0 there is no incoherent component to normalize), a stable
-    operating point and a positive incoherent weight. Returns
-    (J, resolve, c0, comp, norm) with resolve = resolvent(J), norm = Re c0[comp].
+    operating point and a positive incoherent weight.
     """
     if kind not in ("atomic", "forward"):
         raise ValueError(f"kind must be 'atomic' or 'forward', got {kind!r}")
@@ -245,22 +256,23 @@ def resolvent_anchor(params, X, kind):
     norm = c0[comp].real
     if norm <= 0:
         raise ValueError(f"incoherent weight {row}->{comp} is not positive")
-    return J, resolvent(J), c0, comp, norm
+    eig = eigenbasis(J.entries)
+    return ResolventAnchor(J, eig, c0, comp, norm, resolvent(J, eig))
 
 
-def spectrum_numeric(params, X, kind, y_grid) -> SpectrumSeries:
+def spectrum_numeric(params, X, kind, y_grid, *, anchor=None) -> SpectrumSeries:
     """Spectrum from the stationary covariance and the drift resolvent.
 
     kind is "atomic" or "forward"; the anchor row, the component read and
-    the preconditions on the operating point are those of resolvent_anchor.
+    the preconditions on the operating point are those of resolvent_anchor,
+    whose record a caller that has built it passes as anchor.
     """
     y = np.asarray(y_grid, dtype=float)
     if y.size == 0:
         raise ValueError("empty frequency grid")
-    _, resolve, c0, comp, norm = resolvent_anchor(params, X, kind)
-    values = resolve(c0, -1j * y, comp).real / (np.pi * norm)
+    anchor = anchor or resolvent_anchor(params, X, kind)
     return SpectrumSeries(
-        y=y, values=values, kind=kind, method="numeric-resolvent",
+        y=y, values=anchor.values(y), kind=kind, method="numeric-resolvent",
         params=params_meta(params, X=X),
     )
 
@@ -374,23 +386,21 @@ def certified_area(evaluate, feature_scale, tail_power):
     }
 
 
-def verify_unit_area(variant, params=None, X=None):
+def verify_unit_area(variant, params=None, X=None, *, anchor=None):
     """Certified unit-area check for a spectrum variant.
 
     Accepts a closed-form variant name together with its parameters, or
-    "numeric-atomic"/"numeric-forward". Returns the certified-area record;
-    callers compare record["area"] + tail against 1.
+    "numeric-atomic"/"numeric-forward" (anchor: their resolvent_anchor record,
+    if built). Returns the certified-area record; callers compare
+    record["area"] + tail against 1.
     """
     if variant not in UNIT_AREA_VARIANTS + ("numeric-atomic", "numeric-forward"):
         raise ValueError(f"{variant!r} is not a unit-area variant")
     _require_inputs(variant, params, X)
     if variant.startswith("numeric-"):
-        J, resolve, c0, comp, norm = resolvent_anchor(params, X, variant.split("-", 1)[1])
-
-        def evaluate(y):
-            return resolve(c0, -1j * y, comp).real / (np.pi * norm)
-
-        feature = max(1.0, np.max(np.abs(np.linalg.eigvals(J.entries))))
+        anchor = anchor or resolvent_anchor(params, X, variant.split("-", 1)[1])
+        evaluate = anchor.values
+        feature = max(1.0, np.max(np.abs(anchor.eig[0])))
     else:
         def evaluate(y):
             return _closed_form_values(variant, y, params, X)

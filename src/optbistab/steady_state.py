@@ -39,15 +39,15 @@ class TurningPoints:
 
 def evaluate_drive(C, X):
     """Drive amplitude Y sustaining intracavity amplitude X."""
-    if X < 0:
-        raise ValueError("X must be nonnegative")
+    if not 0 <= X < math.inf:
+        raise ValueError("X must be finite and nonnegative")
     return X * (1.0 + 2.0 * C / (1.0 + X * X))
 
 
 def steady_moments(X):
     """Steady-state moments (<a>, <J_minus>, <J_plus>, <J_z>) at amplitude X."""
-    if X < 0:
-        raise ValueError("X must be nonnegative")
+    if not 0 <= X < math.inf:
+        raise ValueError("X must be finite and nonnegative")
     sat = 1.0 / (1.0 + X * X)
     return (X, -X * sat, -X * sat, -sat)
 
@@ -135,8 +135,8 @@ def solve_state_equation(C, Y):
     within the turning tolerance are labelled "turning" since the
     linearization is marginal there.
     """
-    if Y < 0:
-        raise ValueError("Y must be nonnegative")
+    if not 0 <= Y < math.inf:
+        raise ValueError("Y must be finite and nonnegative")
     if Y == 0.0:
         return [OperatingPoint(0.0, 0.0, "monostable", steady_moments(0.0))]
     roots = _cubic_roots(C, Y)

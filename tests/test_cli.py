@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from optbistab import cli, correlations, scattering, steady_state
+from optbistab import cli, correlations, covariance, scattering, spectra, steady_state
 from optbistab.lindyn import build_diffusion, build_jacobian
 from optbistab.numerics import NumericsError
 from optbistab.params import SystemParams
@@ -95,6 +96,26 @@ class TestSpectrumCommand:
         ref = spectrum_closed_form(
             "weak-closed", SystemParams(C=5.0, xi=1.0, N=1), y_grid=data[:, 0])
         assert np.max(np.abs(data[:, 1] - ref.values)) <= 1e-3 * ref.values.max()
+
+    def test_numeric_builds_one_model(self, tmp_path):
+        # one linearization and one eigendecomposition serve the series and the
+        # unit-area note; the stability test is the one eigvals
+        eig, eigvals = np.linalg.eig, np.linalg.eigvals
+        solve = covariance.solve_lyapunov
+        with mock.patch.object(np.linalg, "eig", side_effect=eig) as eig_spy, \
+                mock.patch.object(np.linalg, "eigvals", side_effect=eigvals) as eigvals_spy, \
+                mock.patch.object(covariance, "solve_lyapunov", side_effect=solve) as lyap:
+            rc = cli.main(["spectrum", "--method", "numeric", "--C", "5", "--xi", "1",
+                           "--X", "0.01", "--out", str(tmp_path / "s")])
+            assert rc == 0
+            assert (lyap.call_count, eig_spy.call_count) == (1, 1)
+            assert eigvals_spy.call_count <= 1
+            eig_spy.reset_mock()
+            eigvals_spy.reset_mock()
+            p = SystemParams(C=5.0, xi=1.0, N=1)
+            spectra.verify_unit_area("numeric-atomic", p, 0.01)
+            assert eig_spy.call_count == 1
+            assert eigvals_spy.call_count <= 1
 
     def test_unstable_branch_is_regime_error(self, tmp_path, capsys):
         rc = cli.main(["spectrum", "--method", "numeric", "--C", "5", "--xi", "1",
@@ -393,6 +414,23 @@ class TestExitCodes:
         rc = cli.main(["curve", "--C", "5", "--xmax", "1",
                        "--out", str(tmp_path / "c")])
         assert rc == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["squeeze", "--C", "5", "--xi", "1", "--X", "nan"],
+        ["scatter", "--C", "5", "--xi", "1", "--X", "nan"],
+        ["solve", "--C", "5", "--y", "nan"],
+        ["g2", "--variant", "atomic-weak", "--C", "5", "--xi", "1", "--N", "100",
+         "--X", "nan"],
+        ["spectrum", "--method", "numeric", "--C", "5", "--xi", "1", "--X", "inf"],
+        ["g2", "--variant", "numeric", "--C", "5", "--xi", "1", "--N", "100",
+         "--X", "nan"],
+        ["spectrum", "--method", "numeric", "--C", "5", "--xi", "1", "--Y", "nan"],
+    ])
+    def test_nonfinite_amplitude_or_drive_is_usage_error(self, tmp_path, capsys, argv):
+        rc = cli.main(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(SystemExit) as err:

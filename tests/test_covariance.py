@@ -24,7 +24,7 @@ from optbistab.covariance import (
     evolve_correlation_vector,
     laplace_correlation_vector,
     linearize,
-    resolvent_component,
+    resolvent,
     solve_lyapunov,
     strong_covariance_closed,
     weak_covariance_row,
@@ -41,11 +41,18 @@ from optbistab.numerics import (
     TOL,
     ConditioningError,
     SingularMatrixError,
+    eigenbasis,
     quadrature,
     solve_complex_linear,
 )
 from optbistab.params import SystemParams
 from optbistab.steady_state import turning_points
+
+
+def resolvent_component(J, c0, s_bar, comp):
+    """Component comp of (s_bar I - J)^{-1} c0 at every point of s_bar, from
+    one eigendecomposition of J, as the numeric spectrum routes build it."""
+    return resolvent(J, eigenbasis(J.entries))(c0, s_bar, comp)
 
 
 @pytest.fixture
@@ -138,6 +145,11 @@ class TestWeakClosedForms:
     def test_zero_amplitude(self, weak_params):
         assert np.all(weak_covariance_row(weak_params, 0.0).entries == 0.0)
 
+    @pytest.mark.parametrize("X", [np.nan, np.inf])
+    def test_rejects_nonfinite_amplitude(self, weak_params, X):
+        with pytest.raises(ValueError, match="X must be finite"):
+            weak_covariance_row(weak_params, X)
+
     def test_guard_warns_out_of_regime(self, weak_params):
         with pytest.warns(RegimeWarning):
             weak_covariance_row(weak_params, 1.0)
@@ -178,6 +190,11 @@ class TestStrongClosedForms:
         assert lyap_nu[2] == pytest.approx(1.0, abs=1e-2)
         assert abs(lyap_nu[3]) <= 1e-2
         assert abs(lyap_nu[4]) <= 1e-2
+
+    @pytest.mark.parametrize("X", [np.nan, np.inf])
+    def test_rejects_nonfinite_amplitude(self, weak_params, X):
+        with pytest.raises(ValueError, match="X must be finite"):
+            strong_covariance_closed(weak_params, X)
 
     def test_rejects_zero_amplitude(self, weak_params):
         with pytest.raises(ValueError):
@@ -347,6 +364,27 @@ class TestResolventComponent:
         assert got.shape == (n,)
         assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("broken", ["eig", "svd"])
+    @pytest.mark.parametrize("C, xi, X, row, comp", RESOLVENT_POINTS)
+    def test_failed_eigenbasis_takes_the_svd_path(self, C, xi, X, row, comp, broken):
+        # eig, or the SVD of its eigenvectors, raising leaves no basis: every
+        # point gets the SVD test, with the values of that path
+        J, c0 = _anchored(C, xi, X, row)
+        s = -1j * np.linspace(-30.0, 30.0, 2001)
+        ref = _svd_everywhere(J, c0, s, comp)
+        svd = np.linalg.svd
+
+        def fail(a, *args, **kwargs):
+            # the stacked SVD over the resolvent's points is 3-D and still runs
+            if broken == "eig" or np.ndim(a) == 2:
+                raise np.linalg.LinAlgError(f"{broken} did not converge")
+            return svd(a, *args, **kwargs)
+
+        with mock.patch.object(np.linalg, broken, side_effect=fail):
+            got = _run(J, c0, s, comp)
+        assert isinstance(ref, np.ndarray)
+        _assert_same_outcome(got, ref)
+
 
 def _log_uniform(lo, hi):
     return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0**e)
@@ -391,7 +429,8 @@ def _run(J, c0, s, comp):
 
 
 def _svd_everywhere(J, c0, s, comp):
-    with mock.patch.object(covariance_mod, "_eigenbasis_bound", lambda J: None):
+    with mock.patch.object(covariance_mod, "_eigenbasis_bound",
+                           lambda A, eig: None):
         return _run(J, c0, s, comp)
 
 
@@ -421,9 +460,10 @@ class TestSingularValueCertificate:
 
         A = s[:, None, None] * np.eye(5) - J.entries
         floor = TOL.singular_rel * np.maximum(np.abs(A).sum(axis=2).max(axis=1), 1e-300)
-        certificate = covariance_mod._eigenbasis_bound(J.entries)
+        eig = eigenbasis(J.entries)
+        certificate = covariance_mod._eigenbasis_bound(J.entries, eig)
         certified = np.ones(s.size, dtype=bool)
-        certified[covariance_mod._uncertified(certificate, s, floor)] = False
+        certified[covariance_mod._uncertified(eig[0], certificate, s, floor)] = False
         sv_min = np.linalg.svd(A[certified], compute_uv=False)[:, -1]
         assert np.all(sv_min > floor[certified])
 

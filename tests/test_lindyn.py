@@ -31,6 +31,11 @@ def p51():
 
 
 class TestJacobian:
+    @pytest.mark.parametrize("X", [np.nan, np.inf])
+    def test_rejects_nonfinite_amplitude(self, p51, X):
+        with pytest.raises(ValueError, match="X must be finite"):
+            build_jacobian(p51, X)
+
     def test_full_equals_weak_at_zero(self, p51):
         J_full = build_jacobian(p51, 0.0, "full")
         with pytest.warns(RegimeWarning):
@@ -184,6 +189,11 @@ class TestRegimeGuard:
 
 
 class TestDiffusion:
+    @pytest.mark.parametrize("X", [np.nan, np.inf])
+    def test_rejects_nonfinite_amplitude(self, X):
+        with pytest.raises(ValueError, match="X must be finite"):
+            build_diffusion(X)
+
     def test_zero_at_dark_cavity(self):
         assert np.all(build_diffusion(0.0).entries == 0.0)
 

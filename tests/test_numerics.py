@@ -160,6 +160,23 @@ class TestPropagate:
             want = np.exp(-tk) * (np.eye(3) + N * tk + N @ N * tk * tk / 2.0) @ b
             assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(b))
 
+    @pytest.mark.parametrize("broken", ["eig", "svd"])
+    def test_failed_eigenbasis_takes_pade(self, broken):
+        # eig, or the SVD of its eigenvectors, raising leaves no basis
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(5, 5)) - 4.0 * np.eye(5)
+        b = rng.normal(size=5) + 1j * rng.normal(size=5)
+        t = np.array([0.0, 0.4, 2.0])
+        pade = numerics_mod._expm_pade
+        with mock.patch.object(np.linalg, broken,
+                               side_effect=np.linalg.LinAlgError("no convergence")), \
+                mock.patch.object(numerics_mod, "_expm_pade", side_effect=pade) as spy:
+            got = propagate(A, t, b)
+        assert spy.call_count == t.size
+        for tk, row in zip(t, got):
+            want = scipy.linalg.expm(A * tk) @ b
+            assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite(self, bad):
         A = -np.eye(3)

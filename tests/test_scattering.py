@@ -43,6 +43,11 @@ class TestSideFlux:
             b = side_flux(p51, 2.0, np.pi - theta, 1e-3).flux
             assert abs(a - b) <= 1e-12 * max(a, 1.0)
 
+    @pytest.mark.parametrize("X", [np.nan, np.inf])
+    def test_rejects_nonfinite_amplitude(self, p51, X):
+        with pytest.raises(ValueError, match="X must be finite"):
+            side_flux(p51, X, np.pi / 2, 1e-3)
+
     def test_invalid_solid_angle(self, p51):
         with pytest.raises(ValueError):
             side_flux(p51, 1.0, 1.0, 0.0)

@@ -7,16 +7,14 @@ import numpy as np
 import pytest
 
 from optbistab import covariance as covariance_mod
-from optbistab.covariance import weak_covariance_row
-from optbistab.lindyn import RegimeWarning
+from optbistab.covariance import UnstableDriftError, weak_covariance_row
+from optbistab.lindyn import RegimeWarning, saturation_factor
 from optbistab.numerics import ConditioningError
 from optbistab.params import SystemParams
 from optbistab.spectra import (
     UNIT_AREA_VARIANTS,
-    UnstableOperatingPointError,
     _half_grid,
     anomalous_laplace,
-    saturation_factor,
     spectrum_closed_form,
     spectrum_numeric,
     squeezing_spectrum_atomic,
@@ -64,7 +62,7 @@ class TestNumericSpectrum:
         assert np.max(np.abs(s.values - s.values[::-1])) <= 1e-10
 
     def test_unstable_point_rejected(self, p51):
-        with pytest.raises(UnstableOperatingPointError):
+        with pytest.raises(UnstableDriftError):
             spectrum_numeric(p51, 2.0, "atomic", np.linspace(-1, 1, 5))
 
     def test_dark_cavity_rejected(self, p51):
@@ -80,7 +78,7 @@ class TestNumericSpectrum:
             verify_unit_area("numeric-atomic", p51, 0.0)
 
     def test_unit_area_rejects_unstable_point(self, p51):
-        with pytest.raises(UnstableOperatingPointError):
+        with pytest.raises(UnstableDriftError):
             verify_unit_area("numeric-atomic", p51, 2.0)
 
     @pytest.mark.parametrize("variant, with_params, X", [

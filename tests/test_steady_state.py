@@ -32,6 +32,21 @@ class TestEvaluateDrive:
             evaluate_drive(5.0, -0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+class TestRejectsNonFinite:
+    def test_evaluate_drive(self, bad):
+        with pytest.raises(ValueError, match="X must be finite"):
+            evaluate_drive(5.0, bad)
+
+    def test_steady_moments(self, bad):
+        with pytest.raises(ValueError, match="X must be finite"):
+            steady_moments(bad)
+
+    def test_solve_state_equation(self, bad):
+        with pytest.raises(ValueError, match="Y must be finite"):
+            solve_state_equation(5.0, bad)
+
+
 class TestSolveStateEquation:
     def test_factorized_cubic(self):
         pts = solve_state_equation(5.0, 6.0)
