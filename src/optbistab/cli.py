@@ -213,7 +213,8 @@ def cmd_spectrum(args):
         series = spectra.spectrum_numeric(params, X, args.kind, grid, anchor=anchor)
         check = spectra.verify_unit_area(f"numeric-{args.kind}", params, X, anchor=anchor)
         norm_note = [f"unit-area check: {check['area']:.6f} "
-                     f"(tail bound {check['tail_bound']:.2e})"]
+                     f"(tail bound {check['tail_bound']:.2e}) "
+                     f"(quadrature error {check['quadrature_error']:.2e})"]
     else:
         X = args.X
         if args.method in ("upper-branch", "upper-forward-bad-cavity") and X is None:
@@ -397,7 +398,7 @@ def main(argv=None):
 def _run(args):
     """Run the chosen command; map its failure to an exit code."""
     try:
-        for flag in ("X", "Y"):
+        for flag in ("X", "Y", "ymax", "xmax", "cube"):
             if not np.isfinite(getattr(args, flag, None) or 0.0):  # unset reads 0
                 raise UsageError(f"--{flag} must be finite")
         rc = args.func(args)

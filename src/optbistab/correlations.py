@@ -93,8 +93,10 @@ def anomalous_correlator_time(params, X, tau_bar):
     Decaying oscillation at the vacuum Rabi frequency under the envelope
     exp(-(xi+1) tau_bar / 2); equals the equal-time anomalous entry of the
     weak covariance row at tau_bar = 0. Delays must be finite and
-    nonnegative.
+    nonnegative, and X finite.
     """
+    if not np.isfinite(X):
+        raise ValueError("X must be finite")
     t = checked_delays(tau_bar)
     if msg := regime_violation(params.C, X, "weak"):
         warnings.warn(msg, RegimeWarning, stacklevel=2)
@@ -121,10 +123,12 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
     atomic-impedance and forward-impedance (both require xi = 1 exactly),
     atomic-strong. Weak variants warn outside X << X_minus; the strong
     variant warns outside X >> X_plus and unless X^2 << N. Delays must be
-    finite and nonnegative.
+    finite and nonnegative, and X, where given, finite.
     """
     if variant not in G2_VARIANTS:
         raise ValueError(f"unknown g2 variant {variant!r}")
+    if X is not None and not np.isfinite(X):
+        raise ValueError("X must be finite")
     if params.N < 1:
         raise ValueError("N must be >= 1")
     t = checked_delays(tau_bar_grid)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .covariance import CorrelationVector, covariance_row, linearize, resolvent
 from .lindyn import FluctuationMatrix, RegimeWarning, regime_violation, weak_scales
-from .numerics import TOL, ConditioningError, eigenbasis, quadrature
+from .numerics import TOL, ConditioningError, eigenbasis
 from .params import params_meta
 
 CLOSED_FORM_VARIANTS = (
@@ -46,18 +46,6 @@ UNIT_AREA_VARIANTS = (
     "upper-branch",
     "upper-forward-lorentzian",
 )
-
-# asymptotic tail exponent of each variant, used for certified normalization
-TAIL_POWER = {
-    "weak-closed": 4,
-    "bad-cavity": 4,
-    "strong-coupling": 4,
-    "upper-branch": 2,
-    "upper-forward-lorentzian": 2,
-    "upper-forward-bad-cavity": 2,
-    "numeric-atomic": 4,
-    "numeric-forward": 2,
-}
 
 
 @dataclass(frozen=True)
@@ -179,12 +167,15 @@ def _closed_form_guards(variant, params, X):
 
 
 def _require_inputs(variant, params, X):
-    """Reject a call that lacks the params or the X its variant reads."""
+    """Reject a call that lacks the params or the X its variant reads, or
+    whose X is NaN or infinite."""
     if params is None and variant != "upper-branch":
         raise ValueError(f"variant {variant!r} requires params")
     if X is None and variant in ("upper-branch", "upper-forward-bad-cavity",
                                  "numeric-atomic", "numeric-forward"):
         raise ValueError(f"variant {variant!r} requires X")
+    if X is not None and not np.isfinite(X):
+        raise ValueError("X must be finite")
 
 
 def spectrum_closed_form(variant, params=None, X=None, y_grid=None) -> SpectrumSeries:
@@ -320,6 +311,8 @@ def squeezing_spectrum_atomic(params, X, y_grid) -> SpectrumSeries:
     a signed quantity, so no unit-area normalization applies. Negative at
     line center on the weakly excited lower branch.
     """
+    if not np.isfinite(X):
+        raise ValueError("X must be finite")
     y = np.asarray(y_grid, dtype=float)
     if msg := regime_violation(params.C, X, "weak"):
         warnings.warn(msg, RegimeWarning, stacklevel=2)
@@ -336,54 +329,100 @@ def squeezing_spectrum_atomic(params, X, y_grid) -> SpectrumSeries:
 # certified normalization
 # ---------------------------------------------------------------------------
 
-# certified tail bound, and the number of y_max doublings allowed to reach it
-_TAIL_TOL = 1e-3
-_MAX_DOUBLINGS = 40
+# Gauss-Legendre nodes on [-1, 1], the 16-point rule then the 32-point one,
+# and the weight rows that turn one panel's 48 values into (I16, I32)
+_GL16, _GL32 = np.polynomial.legendre.leggauss(16), np.polynomial.legendre.leggauss(32)
+_NODES = np.concatenate([_GL16[0], _GL32[0]])
+_WEIGHTS = np.zeros((2, _NODES.size))
+_WEIGHTS[0, :16], _WEIGHTS[1, 16:] = _GL16[1], _GL32[1]
+
+# panel edges at |Im s| +- 2^m |Re s| of every pole s, m = -3..7
+_SPREAD = 2.0 ** np.arange(-3, 8)
+# target of the summed |I32 - I16| relative to the area, and the number of
+# bisections a panel may take to reach its share of it
+_AREA_RTOL = 1e-9
+_MAX_DEPTH = 12
 
 
-def _half_grid(core, y_max):
-    """Nonnegative half of the certified-area grid: a dense core [0, core]
-    and log-spaced tails out to y_max. Mirrored about 0 it gives a grid g
-    with g == -g[::-1] exactly."""
-    return np.concatenate([np.linspace(0.0, core, 20001),
-                           np.geomspace(core, y_max, 4001)[1:]])
+def area_breakpoints(poles):
+    """Panel edges on y >= 0 for a spectrum with the given poles in s = -iy.
+
+    Each pole s is a Lorentzian-like feature centred at |Im s| with width
+    |Re s|; the edges are 0, every centre and every centre +- 2^m width for
+    m = -3..7, those below 0 dropped, ascending and without repeats.
+    """
+    s = np.asarray(poles, dtype=complex).ravel()
+    if s.size == 0 or not np.all(s.real < 0.0):
+        raise ValueError("certified area needs poles with negative real parts")
+    centre, width = np.abs(s.imag)[:, None], np.abs(s.real)[:, None]
+    edges = np.concatenate([centre, centre - width * _SPREAD,
+                            centre + width * _SPREAD], axis=1).ravel()
+    return np.unique(np.append(edges[edges >= 0.0], 0.0))
 
 
-def certified_area(evaluate, feature_scale, tail_power):
-    """Integrate an even spectrum with an adaptively certified tail bound.
+def certified_area(evaluate, poles):
+    """Integrate an even spectrum by Gauss-Legendre panels at its poles.
 
     `evaluate` maps a frequency array to the values of a spectrum that is
     even in y, as every spectrum of a real drift and a real anchor row is;
-    it is called on y >= 0 only, and the values are mirrored. The grid spans
-    [-y_max, y_max] with a dense core around the features (width set by
-    feature_scale) and log-spaced tails; y_max doubles until the analytic
-    tail bound 2 * T(y_max) * y_max / (p - 1) for a |y|^-p tail certifies a
-    residual below _TAIL_TOL within _MAX_DOUBLINGS doublings.
+    it is called on y >= 0 only, and the half-line integral is doubled. The
+    panels run between area_breakpoints(poles) up to the last edge B, and
+    [B, inf) is one more panel through y = B/u, u in (0, 1]. Every panel
+    gets the 16- and 32-point rules; a panel whose |I32 - I16| exceeds its
+    share of _AREA_RTOL times the area is bisected, up to _MAX_DEPTH times,
+    and past that the area is refused with ConditioningError.
 
-    Returns dict with area, tail_bound, y_max and the quadrature error.
+    Returns dict with the area (the 32-point sums), the tail bound (the
+    mapped tail's |I32 - I16|), y_max = B and the quadrature error (the
+    summed |I32 - I16| of the finite panels).
     """
-    if tail_power < 2:
-        raise ValueError("tail certification needs a decaying spectrum")
-    core = max(10.0 * feature_scale, 10.0)
-    y_max = 8.0 * core
-    for _ in range(_MAX_DOUBLINGS):
-        edge = float(abs(evaluate(np.array([y_max]))[0]))
-        tail = 2.0 * edge * y_max / (tail_power - 1.0)
-        if tail < _TAIL_TOL:
-            break
-        y_max *= 2.0
-    else:
-        raise ConditioningError("tail bound failed to certify")
-    half = _half_grid(core, y_max)
-    vals = evaluate(half)
-    quad = quadrature(np.concatenate([vals[:0:-1], vals]),
-                      np.concatenate([-half[:0:-1], half]))
-    return {
-        "area": quad.value,
-        "tail_bound": tail,
-        "y_max": y_max,
-        "quadrature_error": quad.error_estimate,
-    }
+    edges = area_breakpoints(poles)
+    b_max = edges[-1]
+    lo, hi = np.append(edges[:-1], 0.0), np.append(edges[1:], 1.0)
+    tail = np.arange(lo.size) == lo.size - 1
+    share = None
+    area = quad_error = tail_bound = 0.0
+    for _ in range(_MAX_DEPTH + 1):
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (hi + lo))[:, None] + half[:, None] * _NODES
+        y, jacobian = x.copy(), np.ones_like(x)
+        y[tail], jacobian[tail] = b_max / x[tail], b_max / x[tail] ** 2
+        f = evaluate(y.ravel()).reshape(y.shape) * jacobian
+        i16, i32 = 2.0 * half * (f @ _WEIGHTS.T).T
+        err = np.abs(i32 - i16)
+        if share is None:
+            share = np.full(lo.size, _AREA_RTOL * np.sum(np.abs(i32)) / lo.size)
+        ok = err <= share
+        area += np.sum(i32[ok])
+        quad_error += np.sum(err[ok & ~tail])
+        tail_bound += np.sum(err[ok & tail])
+        if ok.all():
+            return {"area": float(area), "tail_bound": float(tail_bound),
+                    "y_max": float(b_max), "quadrature_error": float(quad_error)}
+        bad = ~ok
+        mid = lo[bad] + half[bad]
+        lo, hi = np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]])
+        tail, share = np.tile(tail[bad], 2), np.tile(0.5 * share[bad], 2)
+    raise ConditioningError(
+        f"area panels failed to converge in {_MAX_DEPTH} bisections "
+        f"(|I32 - I16| = {np.sum(err[~ok]):.2e} left)")
+
+
+def _quadratic_roots(b, c):
+    """Roots of s^2 + b s + c for b > 0, without cancellation."""
+    q = -0.5 * (b + np.sqrt(complex(b * b - 4.0 * c)))
+    return [q, c / q]
+
+
+# poles in s = -iy of each unit-area closed form: the roots of its denominator
+_CLOSED_FORM_POLES = {
+    "weak-closed": lambda p, X: _quadratic_roots(1.0 + p.xi, p.xi * (1.0 + 2.0 * p.C)),
+    "bad-cavity": lambda p, X: [-(1.0 + 2.0 * p.C)],
+    "strong-coupling": lambda p, X: (-0.5 * (p.xi + 1.0)
+                                     + 1j * np.sqrt(2.0 * p.C * p.xi) * np.array([1.0, -1.0])),
+    "upper-branch": lambda p, X: [-1.0, *_quadratic_roots(3.0, 2.0 + 2.0 * X * X)],
+    "upper-forward-lorentzian": lambda p, X: [-p.xi, -1.0],
+}
 
 
 def verify_unit_area(variant, params=None, X=None, *, anchor=None):
@@ -391,28 +430,18 @@ def verify_unit_area(variant, params=None, X=None, *, anchor=None):
 
     Accepts a closed-form variant name together with its parameters, or
     "numeric-atomic"/"numeric-forward" (anchor: their resolvent_anchor record,
-    if built). Returns the certified-area record; callers compare
-    record["area"] + tail against 1.
+    if built; its drift eigenvalues are the poles). Returns the certified-area
+    record; callers compare record["area"] against 1 within the tail bound
+    plus the quadrature error.
     """
     if variant not in UNIT_AREA_VARIANTS + ("numeric-atomic", "numeric-forward"):
         raise ValueError(f"{variant!r} is not a unit-area variant")
     _require_inputs(variant, params, X)
     if variant.startswith("numeric-"):
         anchor = anchor or resolvent_anchor(params, X, variant.split("-", 1)[1])
-        evaluate = anchor.values
-        feature = max(1.0, np.max(np.abs(anchor.eig[0])))
-    else:
-        def evaluate(y):
-            return _closed_form_values(variant, y, params, X)
+        return certified_area(anchor.values, anchor.eig[0])
 
-        feature = 1.0
-        if variant in ("weak-closed", "strong-coupling"):
-            feature = max(1.0, np.sqrt(params.xi * 2.0 * params.C), params.xi)
-        elif variant == "bad-cavity":
-            feature = 1.0 + 2.0 * params.C
-        elif variant == "upper-branch":
-            feature = max(1.0, np.sqrt(2.0) * X)
-        elif variant == "upper-forward-lorentzian":
-            feature = max(1.0, params.xi)
-    power = TAIL_POWER[variant]
-    return certified_area(evaluate, feature, power)
+    def evaluate(y):
+        return _closed_form_values(variant, y, params, X)
+
+    return certified_area(evaluate, _CLOSED_FORM_POLES[variant](params, X))

@@ -5,10 +5,11 @@ stationary covariance is cross-checked against scipy's Bartels-Stewart
 solver and against a 25-unknown Kronecker-product solve, and propagators
 against series expansion / RK4. The Maxwell-Bloch reference runs the
 vector RK4 of `numerics.integrate_ode` on a numpy right-hand side, the form
-the scalar kernel in `steady_state` must reproduce bit for bit. The
-reference writers encode a table row by row and cell by cell, CSV through
-`output._fmt` and JSON through `json.dump` itself; the column-wise writers
-in `output` must reproduce their bytes.
+the scalar kernel in `steady_state` must reproduce bit for bit. The wide
+mirror-exact grid of `half_grid` serves the evenness tests of the spectra
+and the resolvent. The reference writers encode a table row by row and cell
+by cell, CSV through `output._fmt` and JSON through `json.dump` itself; the
+column-wise writers in `output` must reproduce their bytes.
 """
 
 import json
@@ -51,6 +52,14 @@ def full_system(params, X):
     J = build_jacobian(params, X, regime="full")
     D = build_diffusion(X)
     return J, D
+
+
+def half_grid(core, y_max):
+    """Nonnegative half of a wide frequency grid: a dense core [0, core] of
+    20,001 points and 4,000 log-spaced points out to y_max. Mirrored about 0
+    it gives a grid g with g == -g[::-1] exactly."""
+    return np.concatenate([np.linspace(0.0, core, 20001),
+                           np.geomspace(core, y_max, 4001)[1:]])
 
 
 def integrate_linear_ode(A, x0, t_max, dt):

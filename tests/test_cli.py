@@ -97,6 +97,21 @@ class TestSpectrumCommand:
             "weak-closed", SystemParams(C=5.0, xi=1.0, N=1), y_grid=data[:, 0])
         assert np.max(np.abs(data[:, 1] - ref.values)) <= 1e-3 * ref.values.max()
 
+    def test_unit_area_note_prints_both_error_terms(self, tmp_path, capsys):
+        # an atomic feature far narrower than the largest drift eigenvalue
+        out = tmp_path / "spec"
+        rc = cli.main(["spectrum", "--method", "numeric", "--C", "0.1", "--xi", "1e4",
+                       "--N", "100", "--X", "1", "--out", str(out)])
+        assert rc == 0
+        notes = [line for line in (tmp_path / "spec.csv").read_text().splitlines()
+                 if line.startswith("# warning: unit-area check:")]
+        assert len(notes) == 1
+        words = notes[0][len("# warning: "):].replace("(", " ").replace(")", " ").split()
+        assert words[:5] == ["unit-area", "check:", "1.000000", "tail", "bound"]
+        assert words[6:8] == ["quadrature", "error"] and len(words) == 9
+        assert float(words[5]) >= 0.0 and float(words[8]) >= 0.0
+        assert notes[0][len("# warning: "):] in capsys.readouterr().err
+
     def test_numeric_builds_one_model(self, tmp_path):
         # one linearization and one eigendecomposition serve the series and the
         # unit-area note; the stability test is the one eigvals
@@ -425,6 +440,13 @@ class TestExitCodes:
         ["g2", "--variant", "numeric", "--C", "5", "--xi", "1", "--N", "100",
          "--X", "nan"],
         ["spectrum", "--method", "numeric", "--C", "5", "--xi", "1", "--Y", "nan"],
+        ["spectrum", "--method", "weak-closed", "--C", "5", "--xi", "1", "--ymax", "inf"],
+        ["spectrum", "--method", "numeric", "--C", "5", "--xi", "1", "--X", "0.01",
+         "--ymax", "nan"],
+        ["curve", "--C", "5", "--xmax", "inf"],
+        ["curve", "--C", "5", "--xmax", "nan"],
+        ["scatter", "--phase-sum", "--N", "10", "--cube", "nan"],
+        ["scatter", "--phase-sum", "--N", "10", "--cube", "inf"],
     ])
     def test_nonfinite_amplitude_or_drive_is_usage_error(self, tmp_path, capsys, argv):
         rc = cli.main(argv + ["--out", str(tmp_path / "o")])

@@ -278,6 +278,20 @@ class TestNonFiniteDelays:
             anomalous_correlator_time(p51, 0.01, bad)
 
 
+class TestNonFiniteAmplitude:
+    """A closed form that reads X rejects a NaN or infinite one, not NaN values."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_anomalous_correlator(self, p51, bad):
+        with pytest.raises(ValueError, match="X must be finite"):
+            anomalous_correlator_time(p51, bad, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_strong_g2(self, p51, bad):
+        with pytest.raises(ValueError, match="X must be finite"):
+            g2_closed_form("atomic-strong", p51, X=bad, tau_bar_grid=np.array([0.0, 1.0]))
+
+
 class TestAnomalousCorrelator:
     def test_zero_delay_continuity(self, p51):
         row = weak_covariance_row(p51, 0.05)

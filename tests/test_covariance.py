@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     full_system,
+    half_grid,
     integrate_linear_ode,
     oracle_covariance_kron,
     oracle_covariance_scipy,
 )
 from optbistab import covariance as covariance_mod
-from optbistab import spectra as spectra_mod
 from optbistab.covariance import (
     CorrelationVector,
     UnstableDriftError,
@@ -293,12 +293,12 @@ def _anchored(C, xi, X, row):
     return J, covariance_row(solve_lyapunov(J, D), row)
 
 
-def _certified_grid(J):
-    """The layout certified_area integrates on (dense core, log tails,
-    mirrored about 0) for this drift, every 16th point, so the per-point
-    reference loop stays short; the subsample is mirror-exact too."""
+def _wide_grid(J):
+    """A wide mirrored grid for this drift (dense core 10 max|w| wide, log
+    tails), every 16th point, so the per-point reference loop stays short;
+    the subsample is mirror-exact too."""
     core = 10.0 * max(1.0, np.max(np.abs(np.linalg.eigvals(J.entries))))
-    half = spectra_mod._half_grid(core, 64.0 * core)
+    half = half_grid(core, 64.0 * core)
     return np.concatenate([-half[:0:-1], half])[::16]
 
 
@@ -313,7 +313,7 @@ class TestResolventComponent:
     @pytest.mark.parametrize("C, xi, X, row, comp", RESOLVENT_POINTS)
     def test_equals_per_point_solves(self, C, xi, X, row, comp):
         J, c0 = _anchored(C, xi, X, row)
-        for y in (np.linspace(-30.0, 30.0, 2001), _certified_grid(J)):
+        for y in (np.linspace(-30.0, 30.0, 2001), _wide_grid(J)):
             s = -1j * y
             ref = np.array([
                 solve_complex_linear(sk * np.eye(5, dtype=complex) - J.entries,
@@ -338,7 +338,7 @@ class TestResolventComponent:
         # J and c0 are real: the resolvent at conj(s) is conj of that at s,
         # bit for bit, which is what lets certified_area resolve y >= 0 only
         J, c0 = _anchored(C, xi, X, row)
-        y = _certified_grid(J)
+        y = _wide_grid(J)
         assert np.array_equal(y, -y[::-1])
         up = resolvent_component(J, c0, 1j * y, comp)
         assert np.array_equal(up, np.conj(resolvent_component(J, c0, -1j * y, comp)))

@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import half_grid
 from optbistab import covariance as covariance_mod
 from optbistab.covariance import UnstableDriftError, weak_covariance_row
 from optbistab.lindyn import RegimeWarning, saturation_factor
@@ -13,8 +14,9 @@ from optbistab.numerics import ConditioningError
 from optbistab.params import SystemParams
 from optbistab.spectra import (
     UNIT_AREA_VARIANTS,
-    _half_grid,
     anomalous_laplace,
+    area_breakpoints,
+    certified_area,
     spectrum_closed_form,
     spectrum_numeric,
     squeezing_spectrum_atomic,
@@ -95,7 +97,7 @@ class TestNumericSpectrum:
             verify_unit_area(variant, p51 if with_params else None, X)
 
     def test_unit_area_builds_one_model_and_one_certificate(self, p51):
-        # the tail probe and the half grid both read the one eigenbasis bound
+        # every round of panels reads the one eigenbasis bound
         bound, solve = covariance_mod._eigenbasis_bound, covariance_mod.solve_lyapunov
         with mock.patch.object(covariance_mod, "_eigenbasis_bound",
                                side_effect=bound) as bound_spy, \
@@ -213,8 +215,8 @@ UNIT_AREA_CASES = [
     ("upper-forward-lorentzian", {"params": SystemParams(C=5.0, xi=1.0, N=10)}),
 ]
 
-# a 24,001-point half of the certified-area layout, core 100, tails to 1e5
-MIRROR_HALF = _half_grid(100.0, 1e5)
+# a 24,001-point half of a wide mirrored grid, core 100, tails to 1e5
+MIRROR_HALF = half_grid(100.0, 1e5)
 
 
 class TestUnitArea:
@@ -243,15 +245,26 @@ class TestUnitArea:
         left = spectrum_numeric(p51, X, kind, -MIRROR_HALF).values
         assert np.array_equal(left, spectrum_numeric(p51, X, kind, MIRROR_HALF).values)
 
-    def test_half_grid_mirrors_the_old_layout(self):
-        # same point count, core spacing and log tails as a symmetric
-        # linspace core of 40,001 points with 4,000 tail points a side
-        half = _half_grid(10.0, 640.0)
-        grid = np.concatenate([-half[:0:-1], half])
-        assert grid.size == 48001 and np.array_equal(grid, -grid[::-1])
-        assert np.all(np.diff(grid) > 0)
-        assert np.allclose(np.diff(grid[4000:44001]), 20.0 / 40000, rtol=1e-9)
-        assert np.array_equal(grid[44001:], np.geomspace(10.0, 640.0, 4001)[1:])
+    def test_breakpoints_sit_at_the_poles(self):
+        # 0, each centre |Im s| and each centre +- 2^m |Re s|, m = -3..7,
+        # those below 0 dropped; a conjugate pair gives the same edges
+        spread = 2.0 ** np.arange(-3, 8)
+        edges = area_breakpoints([complex(-2.0, 100.0), complex(-2.0, -100.0), -0.5])
+        want = np.concatenate([[0.0, 100.0], 100.0 - 2.0 * spread,
+                               100.0 + 2.0 * spread, 0.5 * spread])
+        assert np.array_equal(edges, np.unique(want[want >= 0.0]))
+        assert edges[-1] == 100.0 + 2.0 * 128.0
+
+    def test_area_record_reports_the_last_edge_and_both_errors(self, p51):
+        res = verify_unit_area("numeric-atomic", p51, 0.01)
+        poles = np.linalg.eigvals(covariance_mod.linearize(p51, 0.01)[0].entries)
+        assert res["y_max"] == pytest.approx(area_breakpoints(poles)[-1], rel=1e-12)
+        assert 0.0 <= res["tail_bound"] < 1e-12
+        assert 0.0 <= res["quadrature_error"] < 1e-12
+
+    def test_breakpoints_need_decaying_poles(self):
+        with pytest.raises(ValueError, match="negative real parts"):
+            area_breakpoints([-1.0, complex(0.0, 3.0)])
 
     def test_forward_lorentzian_on_wide_grid(self):
         # heavier 1/y^2 tail than the atomic spectra: wide grid still within 1e-2
@@ -263,8 +276,6 @@ class TestUnitArea:
     def test_bad_cavity_upper_forward_carries_weight_two(self):
         # the published bad-cavity forward form integrates to 2, not 1; it is
         # deliberately excluded from the unit-area set
-        from optbistab.spectra import certified_area
-
         p = SystemParams(C=5.0, xi=500.0, N=10)
 
         def evaluate(y):
@@ -273,7 +284,9 @@ class TestUnitArea:
                 return spectrum_closed_form(
                     "upper-forward-bad-cavity", p, X=20.0, y_grid=y).values
 
-        res = certified_area(evaluate, feature_scale=60.0, tail_power=2)
+        # poles: -xi, -1 and the roots of (1+s)(2+s) + 2X^2
+        poles = [-500.0, -1.0, *np.roots([1.0, 3.0, 2.0 + 2.0 * 20.0**2])]
+        res = certified_area(evaluate, poles)
         assert res["area"] == pytest.approx(2.0, abs=2e-2)
         assert "upper-forward-bad-cavity" not in UNIT_AREA_VARIANTS
         assert "good-cavity" not in UNIT_AREA_VARIANTS
@@ -331,6 +344,24 @@ class TestSqueezingSpectrum:
         assert abs(s.values[2]) < abs(s.values[1]) / 3.0
         ratio = (s.y**2 * s.values)[2] / (s.y**2 * s.values)[1]
         assert ratio == pytest.approx(1.0, abs=0.05)
+
+
+class TestNonFiniteAmplitude:
+    """A closed form that reads X rejects a NaN or infinite one, not NaN values."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_squeezing_spectrum(self, p51, bad):
+        with pytest.raises(ValueError, match="X must be finite"):
+            squeezing_spectrum_atomic(p51, bad, np.array([0.0]))
+
+    @pytest.mark.parametrize("variant", ["upper-branch", "upper-forward-bad-cavity"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_upper_closed_forms(self, p51, variant, bad):
+        with pytest.raises(ValueError, match="X must be finite"):
+            spectrum_closed_form(variant, p51, X=bad, y_grid=np.array([0.0]))
+        if variant in UNIT_AREA_VARIANTS:
+            with pytest.raises(ValueError, match="X must be finite"):
+                verify_unit_area(variant, p51, bad)
 
 
 class TestSaturationFactor:
