@@ -172,9 +172,7 @@ def _solve_common(args, Y, command="solve"):
 
 
 def cmd_solve(args):
-    if args.y is None:
-        raise UsageError("solve needs --y")
-    return _solve_common(args, args.y)
+    return _solve_common(args, args.y)  # --y is a required flag of solve
 
 
 def _pick_operating_point(params, args):
@@ -200,10 +198,10 @@ def _pick_operating_point(params, args):
 def cmd_spectrum(args):
     if args.preset:
         return cmd_preset(args)
-    if args.method == "upper-branch" and not any(_param_sources(args)):
-        params = None  # the upper-branch shape depends only on X
-    else:
-        params = resolve_params(args)
+    form = spectra.CLOSED_FORMS.get(args.method)
+    # a shape that depends only on X runs without params
+    no_params = form and "params" not in form.needs and not any(_param_sources(args))
+    params = None if no_params else resolve_params(args)
     if args.branch == "unstable-middle":
         raise UnstableDriftError("linearization invalid on the unstable branch")
     grid = np.linspace(-args.ymax, args.ymax, args.points)
@@ -217,7 +215,7 @@ def cmd_spectrum(args):
                      f"(quadrature error {check['quadrature_error']:.2e})"]
     else:
         X = args.X
-        if args.method in ("upper-branch", "upper-forward-bad-cavity") and X is None:
+        if "X" in form.needs and X is None:
             if params is None:
                 raise UsageError(f"--method {args.method} needs --X (or --Y with params)")
             X = _pick_operating_point(params, args)
@@ -401,6 +399,9 @@ def _run(args):
         for flag in ("X", "Y", "ymax", "xmax", "cube"):
             if not np.isfinite(getattr(args, flag, None) or 0.0):  # unset reads 0
                 raise UsageError(f"--{flag} must be finite")
+        for flag in ("ymax", "cube", "solid_angle", "points", "trials"):
+            if getattr(args, flag, 1) <= 0:  # absent from this command reads 1
+                raise UsageError(f"--{flag.replace('_', '-')} must be positive")
         rc = args.func(args)
         return rc if isinstance(rc, int) else EXIT_OK
     except UsageError as exc:

@@ -29,16 +29,22 @@ from .numerics import propagate
 from .params import params_meta
 from .steady_state import steady_moments
 
-G2_VARIANTS = (
-    "atomic-weak",
-    "atomic-weak-recast",
-    "forward-weak",
-    "single-atom-pure-state",
-    "side-large-C",
-    "atomic-impedance",
-    "forward-impedance",
-    "atomic-strong",
-)
+# preconditions of each closed-form g2: the regime it warns outside ("weak",
+# "strong" or None) and the input it requires beyond (C, xi, N): the amplitude
+# "X", "raw rates" (laboratory-rate recast) or "xi = 1" (impedance matching)
+_G2_PRECONDITIONS = {
+    "atomic-weak": ("weak", None),
+    "atomic-weak-recast": ("weak", "raw rates"),
+    "forward-weak": ("weak", None),
+    "single-atom-pure-state": ("weak", None),
+    "side-large-C": (None, "X"),
+    "atomic-impedance": (None, "xi = 1"),
+    "forward-impedance": (None, "xi = 1"),
+    "atomic-strong": ("strong", "X"),
+}
+G2_VARIANTS = tuple(_G2_PRECONDITIONS)
+
+_NEGATIVE_G2 = "negative g2 values: linearized theory invalid at these parameters"
 
 
 @dataclass(frozen=True)
@@ -115,15 +121,19 @@ def _bracket(G, t, sin_coeff):
     return np.cos(G * t) + sin_coeff * _sin_over(G, t)
 
 
+def _warn(msg, warn_msgs):
+    """Issue msg as a RegimeWarning at the caller's caller and record it."""
+    warnings.warn(msg, RegimeWarning, stacklevel=3)
+    warn_msgs.append(msg)
+
+
 def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSeries:
     """Closed-form second-order correlation on a delay grid.
 
-    Variants: atomic-weak, atomic-weak-recast (laboratory-rate form,
-    requires raw rates), forward-weak, single-atom-pure-state, side-large-C,
-    atomic-impedance and forward-impedance (both require xi = 1 exactly),
-    atomic-strong. Weak variants warn outside X << X_minus; the strong
-    variant warns outside X >> X_plus and unless X^2 << N. Delays must be
-    finite and nonnegative, and X, where given, finite.
+    variant is one of G2_VARIANTS; _G2_PRECONDITIONS names the regime each
+    warns outside and the input each requires. Weak variants warn outside
+    X << X_minus, the strong one outside X >> X_plus and unless X^2 << N.
+    Delays must be finite and nonnegative, and X, where given, finite.
     """
     if variant not in G2_VARIANTS:
         raise ValueError(f"unknown g2 variant {variant!r}")
@@ -134,23 +144,18 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
     t = checked_delays(tau_bar_grid)
     two_C, xi, N = 2.0 * params.C, params.xi, params.N
     warn_msgs = []
-    if variant.endswith("impedance") and abs(xi - 1.0) > 1e-12:
+    regime, needs = _G2_PRECONDITIONS[variant]
+    if needs == "xi = 1" and abs(xi - 1.0) > 1e-12:
         raise ValueError("impedance-matched forms require xi = 1")
-    weak = variant in ("atomic-weak", "atomic-weak-recast", "forward-weak",
-                       "single-atom-pure-state")
-    regime = "weak" if weak else "strong" if variant == "atomic-strong" else None
     if regime and (msg := regime_violation(params.C, X, regime)):
-        warnings.warn(msg, RegimeWarning, stacklevel=2)
-        warn_msgs.append(msg)
-    if variant == "atomic-strong":
-        if X is None:
-            raise ValueError("atomic-strong requires X")
-        if X * X >= N:
-            msg = f"linearized strong-excitation form wants X^2 << N (X^2={X*X:g}, N={N})"
-            warnings.warn(msg, RegimeWarning, stacklevel=2)
-            warn_msgs.append(msg)
+        _warn(msg, warn_msgs)
+    if needs == "X" and X is None:
+        raise ValueError(f"{variant} requires X")
+    if needs == "raw rates" and not params.has_rates:
+        raise ValueError("the laboratory-rate form requires raw rates")
 
-    G = weak_scales(params, X if X is not None else 0.0).G_bar
+    sc = weak_scales(params, X if X is not None else 0.0)
+    G = sc.G_bar
     env_weak = np.exp(-0.5 * (xi + 1.0) * t)
     r_bar_over = 0.5 * (xi + 1.0) * (xi - 1.0 - two_C) / (1.0 + xi + two_C)
 
@@ -158,9 +163,6 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
         pre = 2.0 * (1.0 + xi + two_C) / (N * (xi + 1.0) * (1.0 + two_C))
         vals = 1.0 - pre * env_weak * _bracket(G, t, r_bar_over)
     elif variant == "atomic-weak-recast":
-        if not params.has_rates:
-            raise ValueError("the laboratory-rate form requires raw rates")
-        sc = weak_scales(params, X if X is not None else 0.0)
         kappa, gamma = params.kappa, params.gamma
         tau = 2.0 * t / gamma
         pre = 2.0 * (kappa + 0.5 * sc.gamma_prime) / (
@@ -174,8 +176,6 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
     elif variant == "single-atom-pure-state":
         vals = (1.0 - env_weak * _bracket(G, t, r_bar_over)) ** 2
     elif variant == "side-large-C":
-        if X is None:
-            raise ValueError("side-large-C requires X")
         vals = 1.0 + X * X * (2.0 * np.exp(-t) - np.exp(-2.0 * t))
     elif variant == "atomic-impedance":
         root = np.sqrt(two_C)
@@ -186,15 +186,16 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
         vals = 1.0 - (two_C * two_C / (N * (1.0 + two_C))) * np.exp(-t) * (
             np.cos(root * t) + np.sin(root * t) / root)
     else:  # atomic-strong
+        if X * X >= N:
+            _warn(f"linearized strong-excitation form wants X^2 << N (X^2={X*X:g}, N={N})",
+                  warn_msgs)
         pre = 2.0 * N * X * X / (N + X * X) ** 2
         om = np.sqrt(2.0) * X
         vals = 1.0 + pre * np.exp(-1.5 * t) * (
             np.cos(om * t) + _sin_over(om, t) * 0.5 / np.sqrt(2.0))
     vals = _real_checked(vals)
     if np.any(vals < 0):
-        msg = "negative g2 values: linearized theory invalid at these parameters"
-        warnings.warn(msg, RegimeWarning, stacklevel=2)
-        warn_msgs.append(msg)
+        _warn(_NEGATIVE_G2, warn_msgs)
     return CorrelationSeries(
         tau_bar=t, values=vals, variant=variant,
         params=params_meta(params, X=X), warnings=tuple(warn_msgs),
@@ -223,9 +224,7 @@ def g2_numeric(params, X, tau_bar_grid) -> CorrelationSeries:
     vals = 1.0 + (2.0 / params.N) * p * p * (c[:, 2] + c[:, 3]).real / norm
     warn_msgs = []
     if np.any(vals < 0):
-        msg = "negative g2 values: linearized theory invalid at these parameters"
-        warnings.warn(msg, RegimeWarning, stacklevel=2)
-        warn_msgs.append(msg)
+        _warn(_NEGATIVE_G2, warn_msgs)
     return CorrelationSeries(
         tau_bar=t, values=vals, variant="numeric",
         params=params_meta(params, X=X), warnings=tuple(warn_msgs),

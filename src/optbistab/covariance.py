@@ -228,8 +228,9 @@ def evolve_correlation_vector(J: FluctuationMatrix, c0: CorrelationVector,
 
 
 # Frequencies per stacked solve: large enough to amortize numpy's per-call
-# overhead, small enough that the (block, 5, 5) temporaries of a 48k-point
-# certified-area grid stay below a megabyte.
+# overhead, small enough that the (block, 5, 5) temporaries of a long grid,
+# such as the thousands of Gauss-Legendre nodes of one certified-area round,
+# stay below a megabyte.
 _RESOLVENT_BLOCK = 256
 
 

@@ -43,7 +43,6 @@ class FluctuationMatrix:
 
     entries: np.ndarray
     kind: str  # jacobian | diffusion | covariance
-    units: str = "gamma/2"
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -70,7 +69,6 @@ class WeakScales:
     g_prime, gamma_prime, r -- laboratory-rate forms (vacuum Rabi frequency,
         enhanced atomic decay, effective impedance); None without raw rates.
     rho_plus/minus -- large-X relaxation scales -3/2 +- i sqrt(2) X.
-    K       -- saturation factor [X^2+(xi+1)(xi+3)] / [2X^2+xi(xi+3)].
     """
 
     lambda_plus: complex
@@ -82,7 +80,6 @@ class WeakScales:
     r: float | None
     rho_plus: complex
     rho_minus: complex
-    K: float
 
 
 # Reference amplitudes below the bistability threshold (C <= 4), where the
@@ -175,13 +172,11 @@ def weak_scales(params, X) -> WeakScales:
         g_prime = cmath.sqrt(complex(params.N * g * g - (0.5 * (kappa - 0.5 * gamma)) ** 2))
         gamma_prime = gamma * (1.0 + two_C)
         r = 0.5 * (kappa + 0.5 * gamma) * (kappa - 0.5 * gamma_prime) / (kappa + 0.5 * gamma_prime)
-    K = saturation_factor(X, xi)
     return WeakScales(
         lambda_plus=lam_p, lambda_minus=lam_m, G_bar=G_bar, A=A,
         g_prime=g_prime, gamma_prime=gamma_prime, r=r,
         rho_plus=complex(-1.5, math.sqrt(2.0) * X),
         rho_minus=complex(-1.5, -math.sqrt(2.0) * X),
-        K=K,
     )
 
 

@@ -2,9 +2,12 @@
 
 Everything here operates on matrices of dimension <= 16 (the physics needs
 5x5) and is deterministic: identical inputs give identical outputs. The
-kernels are thin, checked wrappers around LAPACK via numpy, plus fixed-step
-RK4 and composite trapezoid quadrature. `eigenbasis` is the one
-eigendecomposition; `propagate`, the one route to exp(A t) b, needs one.
+kernels are thin, checked wrappers around LAPACK via numpy. `eigenbasis` is
+the one eigendecomposition; `propagate`, the one route to exp(A t) b, needs
+one. `matrix_exponential`, the fixed-step RK4 `integrate_ode` and the
+composite trapezoid `quadrature` have no caller in the package: they remain
+only because the benchmark's layer tracer (`bench/recorder.py`) looks them
+up by name.
 """
 
 from dataclasses import dataclass

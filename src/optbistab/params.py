@@ -30,7 +30,6 @@ class SystemParams:
     N      -- number of two-level emitters
     g, kappa, gamma -- optional raw rates in rad/s (angular frequencies)
     n_sc   -- saturation photon number gamma^2/(8 g^2), set iff rates present
-    phi0   -- drive phase convention; fixed to 0 so the drive is real
     """
 
     C: float
@@ -40,7 +39,6 @@ class SystemParams:
     kappa: float | None = None
     gamma: float | None = None
     n_sc: float | None = None
-    phi0: float = 0.0
 
     def __post_init__(self):
         report = validate(self)

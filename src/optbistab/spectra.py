@@ -26,28 +26,6 @@ from .lindyn import FluctuationMatrix, RegimeWarning, regime_violation, weak_sca
 from .numerics import TOL, ConditioningError, eigenbasis
 from .params import params_meta
 
-CLOSED_FORM_VARIANTS = (
-    "weak-closed",
-    "bad-cavity",
-    "good-cavity",
-    "strong-coupling",
-    "upper-branch",
-    "upper-forward-lorentzian",
-    "upper-forward-bad-cavity",
-)
-
-# variants whose algebra carries exact unit area (good-cavity is a local
-# approximation with no finite area; the upper-forward bad-cavity form drops
-# O(1/xi) prefactors and carries total weight 2 as published)
-UNIT_AREA_VARIANTS = (
-    "weak-closed",
-    "bad-cavity",
-    "strong-coupling",
-    "upper-branch",
-    "upper-forward-lorentzian",
-)
-
-
 @dataclass(frozen=True)
 class SpectrumSeries:
     """Sampled spectral density with provenance metadata."""
@@ -75,8 +53,8 @@ class SpectrumSeries:
 # closed-form limit expressions
 # ---------------------------------------------------------------------------
 
-def _weak_closed(y, C, xi):
-    two_C = 2.0 * C
+def _weak_closed(y, p, X):
+    two_C, xi = 2.0 * p.C, p.xi
     A = two_C * (2.0 + xi + two_C) + (xi + 1.0) ** 2
     den = (xi - 1j * y) * (1.0 - 1j * y) + xi * two_C
     t1 = (xi * (xi + 1.0) ** 2 - 1j * y * A) / (A * den)
@@ -85,95 +63,122 @@ def _weak_closed(y, C, xi):
     return (t1 + t2).real / np.pi
 
 
-def _bad_cavity(y, C):
-    a = 1.0 + 2.0 * C
+def _bad_cavity(y, p, X):
+    a = 1.0 + 2.0 * p.C
     return (2.0 * a**3 / (a * a + y * y) ** 2) / np.pi
 
 
-def _good_cavity(y, C, xi):
+def _good_cavity(y, p, X):
     # leading order of _weak_closed as xi -> 0 at fixed u = y/xi
-    u2 = (y / xi) ** 2
-    b = 1.0 + 2.0 * C
+    u2 = (y / p.xi) ** 2
+    b = 1.0 + 2.0 * p.C
     return (2.0 / np.pi) * (1.0 + u2) * (b + u2) / (b * b + u2) ** 2
 
 
-def _strong_coupling(y, C, xi):
-    b = 0.5 * (xi + 1.0)
-    R = np.sqrt(xi * 2.0 * C)
+def _strong_coupling(y, p, X):
+    b = 0.5 * (p.xi + 1.0)
+    R = np.sqrt(p.xi * 2.0 * p.C)
     return (b**3 / (b * b + (y + R) ** 2) ** 2
             + b**3 / (b * b + (y - R) ** 2) ** 2) / np.pi
 
 
-def _upper_branch(y, X):
-    a = 1.0 - 1j * y
-    b = 2.0 - 1j * y
+def _upper_branch(y, p, X):
+    a, b = 1.0 - 1j * y, 2.0 - 1j * y
     return ((X * X + a * b) / (a * (2.0 * X * X + a * b))).real / np.pi
 
 
-def _upper_forward_lorentzian(y, xi):
+def _upper_forward_lorentzian(y, p, X):
     # direct complex quotient, so xi = 1 is not a special case
-    return ((1.0 + xi - 1j * y) / ((xi - 1j * y) * (1.0 - 1j * y))).real / np.pi
+    return ((1.0 + p.xi - 1j * y) / ((p.xi - 1j * y) * (1.0 - 1j * y))).real / np.pi
 
 
-def _upper_forward_bad_cavity(y, X, xi):
-    a = 1.0 - 1j * y
-    b = 2.0 - 1j * y
+def _upper_forward_bad_cavity(y, p, X):
+    a, b, xi = 1.0 - 1j * y, 2.0 - 1j * y, p.xi
     t = 2.0 / (xi - 1j * y) + xi * (2.0 * X * X + 2.0 * a * b) / (
         (2.0 * X * X + a * b) * a * (xi - 1j * y))
     return t.real / np.pi
 
 
+def _quadratic_roots(b, c):
+    """Roots of s^2 + b s + c for b > 0, without cancellation."""
+    q = -0.5 * (b + np.sqrt(complex(b * b - 4.0 * c)))
+    return [q, c / q]
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """One closed-form spectrum: values(y, params, X) = T(y), its kind
+    ("atomic" or "forward") and the inputs it reads ("params", "X"). guards
+    are (test, message) pairs, test(params, X) true outside the form's
+    regime; a None message stands for the test's own return, as from
+    lindyn.regime_violation. poles(params, X) are its denominator roots in
+    s = -iy, set only where the algebra carries exact unit area;
+    window(params) is the (lo, hi) range of y where the form holds, if any.
+    """
+
+    values: Callable
+    kind: str
+    needs: tuple = ("params",)
+    guards: tuple = ()
+    poles: Callable | None = None
+    window: Callable | None = None
+
+
+_STRONG = (lambda p, X: p is not None and regime_violation(p.C, X, "strong"), None)
+
+# The good-cavity form is a local approximation with no finite area, and the
+# upper-forward bad-cavity form drops O(1/xi) prefactors and carries total
+# weight 2 as published, so neither has poles to certify a unit area from.
+CLOSED_FORMS = {
+    "weak-closed": ClosedForm(
+        _weak_closed, "atomic",
+        poles=lambda p, X: _quadratic_roots(1.0 + p.xi, p.xi * (1.0 + 2.0 * p.C))),
+    "bad-cavity": ClosedForm(
+        _bad_cavity, "atomic",
+        guards=((lambda p, X: p.xi <= 1.0 or p.xi <= 2.0 * p.C,
+                 "bad-cavity form wants xi >> 1 and xi >> 2C"),),
+        poles=lambda p, X: [-(1.0 + 2.0 * p.C)]),
+    "good-cavity": ClosedForm(
+        _good_cavity, "atomic",
+        guards=((lambda p, X: p.xi >= 1.0 or p.xi >= 2.0 * p.C,
+                 "good-cavity form wants xi << 1 and xi << 2C"),),
+        window=lambda p: (-2.0 * p.xi, 2.0 * p.xi)),
+    "strong-coupling": ClosedForm(
+        _strong_coupling, "atomic",
+        guards=((lambda p, X: (p.xi + 1.0) >= 2.0 * np.sqrt(p.xi * 2.0 * p.C),
+                 "strong-coupling form wants (xi+1) << 2 sqrt(2 C xi)"),),
+        poles=lambda p, X: (-0.5 * (p.xi + 1.0)
+                            + 1j * np.sqrt(2.0 * p.C * p.xi) * np.array([1.0, -1.0]))),
+    "upper-branch": ClosedForm(  # its shape depends on X alone
+        _upper_branch, "atomic", needs=("X",), guards=(_STRONG,),
+        poles=lambda p, X: [-1.0, *_quadratic_roots(3.0, 2.0 + 2.0 * X * X)]),
+    "upper-forward-lorentzian": ClosedForm(
+        _upper_forward_lorentzian, "forward",
+        guards=(_STRONG, (lambda p, X: X is not None and X <= p.xi,
+                          "Lorentzian forward form wants X >> xi")),
+        poles=lambda p, X: [-p.xi, -1.0]),
+    "upper-forward-bad-cavity": ClosedForm(
+        _upper_forward_bad_cavity, "forward", needs=("params", "X"),
+        guards=(_STRONG, (lambda p, X: p.xi <= X, "bad-cavity forward form wants xi >> X"))),
+}
+
+# views of the table by variant name
+CLOSED_FORM_VARIANTS = tuple(CLOSED_FORMS)
+UNIT_AREA_VARIANTS = tuple(v for v, form in CLOSED_FORMS.items() if form.poles)
+_CLOSED_FORM_POLES = {v: form.poles for v, form in CLOSED_FORMS.items() if form.poles}
+
+
 def _closed_form_values(variant, y, params, X):
-    if variant == "weak-closed":
-        return _weak_closed(y, params.C, params.xi)
-    if variant == "bad-cavity":
-        return _bad_cavity(y, params.C)
-    if variant == "good-cavity":
-        return _good_cavity(y, params.C, params.xi)
-    if variant == "strong-coupling":
-        return _strong_coupling(y, params.C, params.xi)
-    if variant == "upper-branch":
-        return _upper_branch(y, X)
-    if variant == "upper-forward-lorentzian":
-        return _upper_forward_lorentzian(y, params.xi)
-    if variant == "upper-forward-bad-cavity":
-        return _upper_forward_bad_cavity(y, X, params.xi)
-    raise ValueError(f"unknown closed-form variant {variant!r}")
-
-
-def _closed_form_guards(variant, params, X):
-    """Regime guards; warnings only, never preconditions of the algebra."""
-    msgs = []
-    if variant == "bad-cavity":
-        if params.xi <= 1.0 or params.xi <= 2.0 * params.C:
-            msgs.append("bad-cavity form wants xi >> 1 and xi >> 2C")
-    elif variant == "good-cavity":
-        if params.xi >= 1.0 or params.xi >= 2.0 * params.C:
-            msgs.append("good-cavity form wants xi << 1 and xi << 2C")
-    elif variant == "strong-coupling":
-        if (params.xi + 1.0) >= 2.0 * np.sqrt(params.xi * 2.0 * params.C):
-            msgs.append("strong-coupling form wants (xi+1) << 2 sqrt(2 C xi)")
-    elif variant in ("upper-branch", "upper-forward-lorentzian",
-                     "upper-forward-bad-cavity"):
-        if params is not None and (msg := regime_violation(params.C, X, "strong")):
-            msgs.append(msg)
-        if variant == "upper-forward-lorentzian" and X is not None and X <= params.xi:
-            msgs.append("Lorentzian forward form wants X >> xi")
-        if variant == "upper-forward-bad-cavity" and X is not None and params.xi <= X:
-            msgs.append("bad-cavity forward form wants xi >> X")
-    for m in msgs:
-        warnings.warn(m, RegimeWarning, stacklevel=3)
-    return tuple(msgs)
+    return CLOSED_FORMS[variant].values(y, params, X)
 
 
 def _require_inputs(variant, params, X):
     """Reject a call that lacks the params or the X its variant reads, or
-    whose X is NaN or infinite."""
-    if params is None and variant != "upper-branch":
-        raise ValueError(f"variant {variant!r} requires params")
-    if X is None and variant in ("upper-branch", "upper-forward-bad-cavity",
-                                 "numeric-atomic", "numeric-forward"):
-        raise ValueError(f"variant {variant!r} requires X")
+    whose X is NaN or infinite. A numeric variant reads both."""
+    inputs = {"params": params, "X": X}
+    for name in CLOSED_FORMS[variant].needs if variant in CLOSED_FORMS else inputs:
+        if inputs[name] is None:
+            raise ValueError(f"variant {variant!r} requires {name}")
     if X is not None and not np.isfinite(X):
         raise ValueError("X must be finite")
 
@@ -181,28 +186,26 @@ def _require_inputs(variant, params, X):
 def spectrum_closed_form(variant, params=None, X=None, y_grid=None) -> SpectrumSeries:
     """Closed-form limit spectrum on a frequency grid.
 
-    variant is one of CLOSED_FORM_VARIANTS. Weak-limit variants need only
-    (C, xi) through `params`; the upper-branch variants need the amplitude X
-    (except the Lorentzian, which is X-independent). Regime guards warn and
-    are recorded on the series; the good-cavity variant carries the validity
-    window |y| <= 2 xi as metadata.
+    variant is a key of CLOSED_FORMS, whose entry names the inputs the form
+    reads: (C, xi) through `params`, the amplitude X, or both. Regime guards
+    warn and are recorded on the series; a form with a validity window (the
+    good-cavity one, |y| <= 2 xi) carries it as metadata.
     """
-    if variant not in CLOSED_FORM_VARIANTS:
+    if variant not in CLOSED_FORMS:
         raise ValueError(f"unknown closed-form variant {variant!r}")
     if y_grid is None:
         raise ValueError("y_grid is required")
     y = np.asarray(y_grid, dtype=float)
     _require_inputs(variant, params, X)
-    warn_msgs = _closed_form_guards(variant, params, X)
-    values = _closed_form_values(variant, y, params, X)
-    window = None
-    if variant == "good-cavity":
-        window = (-2.0 * params.xi, 2.0 * params.xi)
-    kind = "forward" if "forward" in variant else "atomic"
+    form = CLOSED_FORMS[variant]
+    # regime guards warn, never preconditions of the algebra
+    warn_msgs = tuple(msg or hit for test, msg in form.guards if (hit := test(params, X)))
+    for m in warn_msgs:
+        warnings.warn(m, RegimeWarning, stacklevel=2)
     return SpectrumSeries(
-        y=y, values=values, kind=kind, method=variant,
-        params=params_meta(params, X=X), validity_window=window,
-        warnings=warn_msgs,
+        y=y, values=form.values(y, params, X), kind=form.kind, method=variant,
+        params=params_meta(params, X=X), warnings=warn_msgs,
+        validity_window=form.window(params) if form.window else None,
     )
 
 
@@ -408,23 +411,6 @@ def certified_area(evaluate, poles):
         f"(|I32 - I16| = {np.sum(err[~ok]):.2e} left)")
 
 
-def _quadratic_roots(b, c):
-    """Roots of s^2 + b s + c for b > 0, without cancellation."""
-    q = -0.5 * (b + np.sqrt(complex(b * b - 4.0 * c)))
-    return [q, c / q]
-
-
-# poles in s = -iy of each unit-area closed form: the roots of its denominator
-_CLOSED_FORM_POLES = {
-    "weak-closed": lambda p, X: _quadratic_roots(1.0 + p.xi, p.xi * (1.0 + 2.0 * p.C)),
-    "bad-cavity": lambda p, X: [-(1.0 + 2.0 * p.C)],
-    "strong-coupling": lambda p, X: (-0.5 * (p.xi + 1.0)
-                                     + 1j * np.sqrt(2.0 * p.C * p.xi) * np.array([1.0, -1.0])),
-    "upper-branch": lambda p, X: [-1.0, *_quadratic_roots(3.0, 2.0 + 2.0 * X * X)],
-    "upper-forward-lorentzian": lambda p, X: [-p.xi, -1.0],
-}
-
-
 def verify_unit_area(variant, params=None, X=None, *, anchor=None):
     """Certified unit-area check for a spectrum variant.
 
@@ -440,8 +426,5 @@ def verify_unit_area(variant, params=None, X=None, *, anchor=None):
     if variant.startswith("numeric-"):
         anchor = anchor or resolvent_anchor(params, X, variant.split("-", 1)[1])
         return certified_area(anchor.values, anchor.eig[0])
-
-    def evaluate(y):
-        return _closed_form_values(variant, y, params, X)
-
-    return certified_area(evaluate, _CLOSED_FORM_POLES[variant](params, X))
+    form = CLOSED_FORMS[variant]
+    return certified_area(lambda y: form.values(y, params, X), form.poles(params, X))

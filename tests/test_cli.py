@@ -186,6 +186,19 @@ class TestSpectrumCommand:
         warns = json.loads(out.read_text())["warnings"]
         assert any(w.startswith("strong-excitation form at X=5") for w in warns)
 
+    @pytest.mark.parametrize("method", spectra.CLOSED_FORM_VARIANTS)
+    def test_closed_form_input_rules(self, tmp_path, capsys, method):
+        needs_X = method in ("upper-branch", "upper-forward-bad-cavity")
+        argv = ["spectrum", "--method", method, "--points", "11"]
+        rc = cli.main(argv + ["--C", "5", "--xi", "1", "--out", str(tmp_path / "p")])
+        assert rc == (2 if needs_X else 0)
+        if needs_X:
+            assert "give --X or --Y" in capsys.readouterr().err
+        # only the upper-branch shape runs from X alone, with no params
+        rc = cli.main(argv + ["--X", "20", "--out", str(tmp_path / "x")])
+        assert rc == (0 if method == "upper-branch" else 2)
+        assert (tmp_path / "x.csv").exists() == (rc == 0)
+
 
 class TestG2Command:
     def test_preset_fig2a(self, tmp_path):
@@ -452,6 +465,25 @@ class TestExitCodes:
         rc = cli.main(argv + ["--out", str(tmp_path / "o")])
         assert rc == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--method", "weak-closed", "--C", "5", "--xi", "1", "--ymax", "0"],
+        ["spectrum", "--method", "weak-closed", "--C", "5", "--xi", "1", "--ymax", "-3"],
+        ["spectrum", "--method", "weak-closed", "--C", "5", "--xi", "1", "--points", "0"],
+        ["spectrum", "--method", "numeric", "--C", "5", "--xi", "1", "--X", "0.01",
+         "--points", "0"],
+        ["scatter", "--phase-sum", "--N", "10", "--cube", "-5"],
+        ["scatter", "--phase-sum", "--N", "10", "--trials", "0"],
+        ["scatter", "--C", "5", "--xi", "1", "--X", "1", "--solid-angle", "0"],
+        ["g2", "--variant", "atomic-weak", "--C", "5", "--xi", "1", "--N", "100",
+         "--X", "0.01", "--points", "0"],
+        ["curve", "--C", "5", "--xmax", "5", "--points", "0"],
+    ])
+    def test_nonpositive_size_or_range_is_usage_error(self, tmp_path, capsys, argv):
+        rc = cli.main(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "must be positive" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_unknown_preset_rejected(self):
