@@ -97,7 +97,7 @@ def _emit_record(args, stem, meta, columns=None, rows=None, record=None,
     The path is `stem` with the format's suffix unless it already has it.
     `rows` is a 2-D array or a sequence of rows (see `output`). A
     JSON table is {meta, columns, rows, warnings}; a JSON record puts its
-    values beside meta and warnings as flat keys. CSV warnings also go to
+    values beside meta and warnings as flat keys. The warnings also go to
     stderr. Prints the path.
     """
     path = stem if stem.endswith(f".{args.format}") else f"{stem}.{args.format}"
@@ -105,13 +105,13 @@ def _emit_record(args, stem, meta, columns=None, rows=None, record=None,
         columns, rows = tuple(record), [tuple(record.values())]
     if args.format == "csv":
         output.write_csv(path, columns, rows, meta=meta, warnings_list=warn_msgs)
-        for w in warn_msgs:
-            _print_warning(args, w)
     elif record is None:
         output.write_json(path, {"meta": meta, "columns": list(columns),
                                  "rows": rows, "warnings": list(warn_msgs)})
     else:
         output.write_json(path, {"meta": meta, **record, "warnings": list(warn_msgs)})
+    for w in warn_msgs:
+        _print_warning(args, w)
     print(path)
 
 
@@ -144,7 +144,7 @@ def _emit_series(args, label_series, warn_msgs=(), always_suffix=False):
 
 def cmd_curve(args):
     if args.y is not None:
-        return _solve_common(args, args.y, command="curve")
+        return cmd_solve(args)
     if args.xmax is None or args.xmax <= 0:
         raise UsageError("curve needs --xmax > 0 (or --y)")
     C = args.C
@@ -160,19 +160,15 @@ def cmd_curve(args):
     return EXIT_OK
 
 
-def _solve_common(args, Y, command="solve"):
-    C = args.C
-    if not 0 <= Y < np.inf:
+def cmd_solve(args):
+    """Roots of the state equation at the drive --y (also `curve --y`)."""
+    if not 0 <= args.y < np.inf:
         raise UsageError("the drive Y must be finite and nonnegative")
-    points = steady_state.solve_state_equation(C, Y)
+    points = steady_state.solve_state_equation(args.C, args.y)
     rows = [(pt.X, pt.Y, pt.branch) for pt in points]
-    meta = {"C": C, "Y": Y, "command": command, "seed": args.seed}
+    meta = {"C": args.C, "Y": args.y, "command": args.command, "seed": args.seed}
     _emit_record(args, args.out or "solve", meta, ("X", "Y", "branch"), rows)
     return EXIT_OK
-
-
-def cmd_solve(args):
-    return _solve_common(args, args.y)  # --y is a required flag of solve
 
 
 def _pick_operating_point(params, args):
@@ -196,9 +192,11 @@ def _pick_operating_point(params, args):
 
 
 def cmd_spectrum(args):
-    if args.preset:
-        return cmd_preset(args)
     form = spectra.CLOSED_FORMS.get(args.method)
+    kind = form.kind if form else args.kind or "atomic"
+    if args.kind not in (None, kind):
+        raise UsageError(f"--method {args.method} gives the {kind} spectrum, "
+                         f"not --kind {args.kind}")
     # a shape that depends only on X runs without params
     no_params = form and "params" not in form.needs and not any(_param_sources(args))
     params = None if no_params else resolve_params(args)
@@ -207,9 +205,9 @@ def cmd_spectrum(args):
     grid = np.linspace(-args.ymax, args.ymax, args.points)
     if args.method == "numeric":
         X = _pick_operating_point(params, args)
-        anchor = spectra.resolvent_anchor(params, X, args.kind)
-        series = spectra.spectrum_numeric(params, X, args.kind, grid, anchor=anchor)
-        check = spectra.verify_unit_area(f"numeric-{args.kind}", params, X, anchor=anchor)
+        anchor = spectra.resolvent_anchor(params, X, kind)
+        series = spectra.spectrum_numeric(params, X, kind, grid, anchor=anchor)
+        check = spectra.verify_unit_area(f"numeric-{kind}", params, X, anchor=anchor)
         norm_note = [f"unit-area check: {check['area']:.6f} "
                      f"(tail bound {check['tail_bound']:.2e}) "
                      f"(quadrature error {check['quadrature_error']:.2e})"]
@@ -231,15 +229,13 @@ def cmd_spectrum(args):
 
 
 def cmd_g2(args):
-    if args.preset:
-        return cmd_preset(args)
     if not 0 < args.taumax < np.inf:
         raise UsageError("g2 needs a finite --taumax > 0")
     params = resolve_params(args, need_N=True)
     grid = np.linspace(0.0, args.taumax, args.points)
+    if args.variant in correlations.G2_X_VARIANTS and args.X is None:
+        raise UsageError(f"g2 --variant {args.variant} needs --X")
     if args.variant == "numeric":
-        if args.X is None:
-            raise UsageError("g2 --variant numeric needs --X")
         series = correlations.g2_numeric(params, args.X, grid)
     else:
         series = correlations.g2_closed_form(args.variant, params, X=args.X,
@@ -250,8 +246,6 @@ def cmd_g2(args):
 
 def cmd_squeeze(args):
     params = resolve_params(args)
-    if args.X is None:
-        raise UsageError("squeeze needs --X")
     qv = correlations.quadrature_variances(params, args.X)
     meta = _record_meta(params, X=args.X, command="squeeze", seed=args.seed)
     _emit_record(args, args.out or "squeeze", meta, record=dataclasses.asdict(qv))
@@ -291,8 +285,6 @@ def cmd_scatter(args):
 
 def cmd_preset(args):
     name = args.preset
-    if name not in presets.PRESET_NAMES:
-        raise UsageError(f"unknown preset {name!r}; choose from {presets.PRESET_NAMES}")
     label_series = presets.run_preset(name, seed=args.seed)
     if args.out is None:
         args.out = name
@@ -327,7 +319,8 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="incoherent spectra")
     _add_param_flags(p)
-    p.add_argument("--kind", choices=("atomic", "forward"), default="atomic")
+    p.add_argument("--kind", choices=("atomic", "forward"),
+                   help="numeric default atomic; a closed form has its own")
     p.add_argument("--method", default="numeric",
                    choices=("numeric",) + spectra.CLOSED_FORM_VARIANTS)
     p.add_argument("--X", type=float)
@@ -375,7 +368,6 @@ def build_parser():
     p = sub.add_parser("preset", help="run a named figure preset")
     p.add_argument("preset", choices=presets.PRESET_NAMES)
     _add_io_flags(p)
-    p.set_defaults(func=cmd_preset)
 
     return ap
 
@@ -387,7 +379,7 @@ def main(argv=None):
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         rc = _run(args)
-    # a warning already printed with a CSV's notes is not printed again
+    # a warning already printed with a file's notes is not printed again
     for w in caught:
         _print_warning(args, str(w.message))
     return rc
@@ -402,7 +394,8 @@ def _run(args):
         for flag in ("ymax", "cube", "solid_angle", "points", "trials"):
             if getattr(args, flag, 1) <= 0:  # absent from this command reads 1
                 raise UsageError(f"--{flag.replace('_', '-')} must be positive")
-        rc = args.func(args)
+        # `preset NAME` and the --preset of spectrum and g2 run here
+        rc = cmd_preset(args) if getattr(args, "preset", None) else args.func(args)
         return rc if isinstance(rc, int) else EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -410,13 +403,10 @@ def _run(args):
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnstableDriftError as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # UnstableDriftError and the regime errors
         print(f"regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME
 

@@ -43,6 +43,8 @@ _G2_PRECONDITIONS = {
     "atomic-strong": ("strong", "X"),
 }
 G2_VARIANTS = tuple(_G2_PRECONDITIONS)
+# the g2 variants that read X: the numeric one and the closed forms requiring it
+G2_X_VARIANTS = ("numeric",) + tuple(v for v, (_, n) in _G2_PRECONDITIONS.items() if n == "X")
 
 _NEGATIVE_G2 = "negative g2 values: linearized theory invalid at these parameters"
 
@@ -246,9 +248,7 @@ def quadrature_variances(params, X) -> QuadratureVariances:
     if X == 0:
         return QuadratureVariances(0.25, 0.25, False, 0.0, "weak-closed")
     if regime_violation(params.C, X, "weak") is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            row = weak_covariance_row(params, X)
+        row = weak_covariance_row(params, X)  # silent: its guard is this test
         jz = -1.0
         method = "weak-closed"
     else:

@@ -83,7 +83,7 @@ def solve_complex_linear(A, b):
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != A.shape[0]:
         raise ValueError("right-hand side is not conformable")
-    if not np.all(np.isfinite(b.real)) or not np.all(np.isfinite(b.imag)):
+    if not np.isfinite(b).all():
         raise ValueError("right-hand side contains NaN/Inf entries")
 
     norm_A = np.linalg.norm(A, np.inf)

@@ -317,14 +317,15 @@ def squeezing_spectrum_atomic(params, X, y_grid) -> SpectrumSeries:
     if not np.isfinite(X):
         raise ValueError("X must be finite")
     y = np.asarray(y_grid, dtype=float)
-    if msg := regime_violation(params.C, X, "weak"):
-        warnings.warn(msg, RegimeWarning, stacklevel=2)
+    warn_msgs = tuple(filter(None, [regime_violation(params.C, X, "weak")]))
+    for m in warn_msgs:
+        warnings.warn(m, RegimeWarning, stacklevel=2)
     values = np.array(
         [anomalous_laplace("nu*nu*", params, X, -1j * yk).real for yk in y]
     )
     return SpectrumSeries(
         y=y, values=values, kind="squeezing", method="anomalous-laplace",
-        params=params_meta(params, X=X),
+        params=params_meta(params, X=X), warnings=warn_msgs,
     )
 
 

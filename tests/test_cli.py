@@ -14,7 +14,7 @@ import scipy.linalg
 from optbistab import cli, correlations, covariance, scattering, spectra, steady_state
 from optbistab.lindyn import build_diffusion, build_jacobian
 from optbistab.numerics import NumericsError
-from optbistab.params import SystemParams
+from optbistab.params import SystemParams, from_raw_rates
 
 
 def read_csv(path):
@@ -74,6 +74,19 @@ class TestCurveAndSolve:
         assert xs == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
         assert [r[2] for r in rows] == ["lower", "unstable-middle", "upper"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_curve_at_drive_writes_the_solve_table(self, tmp_path, fmt):
+        for command in ("curve", "solve"):
+            assert cli.main([command, "--C", "5", "--y", "6", "--format", fmt,
+                             "--out", str(tmp_path / command)]) == 0
+        curve, solve = ((tmp_path / f"{c}.{fmt}").read_text().splitlines()
+                        for c in ("curve", "solve"))
+        differ = [(a, b) for a, b in zip(curve, solve) if a != b]
+        assert len(curve) == len(solve)
+        assert [(a.strip(), b.strip()) for a, b in differ] == (
+            [("# command=curve", "# command=solve")] if fmt == "csv"
+            else [('"command": "curve",', '"command": "solve",')])
+
     def test_invalid_range_is_usage_error(self, tmp_path):
         rc = cli.main(["curve", "--C", "5", "--xmax", "-3",
                        "--out", str(tmp_path / "x")])
@@ -111,6 +124,45 @@ class TestSpectrumCommand:
         assert words[6:8] == ["quadrature", "error"] and len(words) == 9
         assert float(words[5]) >= 0.0 and float(words[8]) >= 0.0
         assert notes[0][len("# warning: "):] in capsys.readouterr().err
+
+    def test_json_prints_unit_area_note_once(self, tmp_path, capsys):
+        out = tmp_path / "spec.json"
+        rc = cli.main(["spectrum", "--method", "numeric", "--C", "5", "--xi", "1",
+                       "--X", "0.01", "--points", "11", "--format", "json",
+                       "--out", str(out)])
+        assert rc == 0
+        warns = json.loads(out.read_text())["warnings"]
+        assert len(warns) == 1 and warns[0].startswith("unit-area check: 1.000000 ")
+        assert warning_lines(capsys.readouterr().err, "unit-area") == [f"warning: {warns[0]}"]
+
+    @pytest.mark.parametrize("method", spectra.CLOSED_FORM_VARIANTS)
+    def test_kind_must_match_closed_form(self, tmp_path, capsys, method):
+        own = spectra.CLOSED_FORMS[method].kind
+        other = {"atomic": "forward", "forward": "atomic"}[own]
+        argv = ["spectrum", "--method", method, "--C", "5", "--xi", "1", "--points", "11"]
+        argv += ["--X", "20"] if "X" in spectra.CLOSED_FORMS[method].needs else []
+        assert cli.main(argv + ["--kind", own, "--out", str(tmp_path / "own")]) == 0
+        meta, _, _ = read_csv(tmp_path / "own.csv")
+        assert meta["kind"] == own
+        capsys.readouterr()
+        assert cli.main(argv + ["--kind", other, "--out", str(tmp_path / "other")]) == 2
+        assert f"not --kind {other}" in capsys.readouterr().err
+        assert not (tmp_path / "other.csv").exists()
+
+    def test_numeric_kind_defaults_to_atomic(self, tmp_path):
+        rc = cli.main(["spectrum", "--C", "5", "--xi", "1", "--X", "0.01",
+                       "--points", "11", "--out", str(tmp_path / "s")])
+        assert rc == 0
+        meta, _, _ = read_csv(tmp_path / "s.csv")
+        assert (meta["kind"], meta["method"]) == ("atomic", "numeric-resolvent")
+
+    def test_unstable_middle_branch_is_regime_error(self, tmp_path, capsys):
+        rc = cli.main(["spectrum", "--method", "numeric", "--C", "5", "--xi", "1",
+                       "--Y", "6", "--branch", "unstable-middle",
+                       "--out", str(tmp_path / "s")])
+        assert rc == 4
+        assert "regime error: linearization invalid" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_numeric_builds_one_model(self, tmp_path):
         # one linearization and one eigendecomposition serve the series and the
@@ -266,6 +318,23 @@ class TestG2Command:
         assert "finite --taumax" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize("variant", ["numeric", "side-large-C", "atomic-strong"])
+    def test_variant_reading_X_needs_it(self, tmp_path, capsys, variant):
+        rc = cli.main(["g2", "--variant", variant, "--C", "5", "--xi", "1",
+                       "--N", "100", "--out", str(tmp_path / "g")])
+        assert rc == 2
+        assert f"usage error: g2 --variant {variant} needs --X" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("drop", ["--g-mhz", "--kappa-mhz", "--gamma-mhz"])
+    def test_rate_flags_come_together(self, tmp_path, capsys, drop):
+        rates = {"--g-mhz": "1.06", "--kappa-mhz": "0.88", "--gamma-mhz": "10"}
+        argv = ["g2", "--variant", "atomic-weak-recast", "--N", "310"]
+        argv += [a for flag, v in rates.items() if flag != drop for a in (flag, v)]
+        assert cli.main(argv + ["--out", str(tmp_path / "g")]) == 2
+        assert "rate parameters need" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_needs_atom_number(self, tmp_path):
         rc = cli.main(["g2", "--variant", "atomic-weak", "--C", "5", "--xi", "1",
                        "--out", str(tmp_path / "g")])
@@ -340,6 +409,21 @@ class TestScatterCommand:
         assert doc["coherent_bound"] == 99.0
         assert doc["seed"] == 7
 
+    def test_phase_sum_from_geometry_file(self, tmp_path):
+        geometry = tmp_path / "atoms.json"
+        positions = scattering.sample_positions_cube(30, 20.0, seed=3)
+        geometry.write_text(json.dumps(positions.tolist()))
+        out = tmp_path / "ps.json"
+        rc = cli.main(["scatter", "--phase-sum", "--geometry", str(geometry),
+                       "--trials", "200", "--seed", "5", "--format", "json",
+                       "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        stats = scattering.phase_sum_monte_carlo(
+            scattering.load_geometry(str(geometry), rng_seed=5), 200)
+        assert {k: doc[k] for k in dataclasses.asdict(stats)} == dataclasses.asdict(stats)
+        assert (doc["meta"]["geometry_file"], doc["meta"]["N"]) == (str(geometry), 30)
+
     def test_flux_csv(self, tmp_path):
         out = tmp_path / "flux"
         rc = cli.main(["scatter", "--C", "5", "--xi", "1", "--X", "1",
@@ -381,6 +465,10 @@ def _phase_sum():
     return [dataclasses.asdict(scattering.phase_sum_monte_carlo(geom, 200))]
 
 
+def _g2_rows(series):
+    return [{"tau_bar": t, "g2": v} for t, v in zip(series.tau_bar, series.values)]
+
+
 P51 = SystemParams(C=5.0, xi=1.0, N=1)
 WRITER_CASES = {
     "solve-csv": (["solve", "--C", "5", "--y", "6"],
@@ -398,6 +486,17 @@ WRITER_CASES = {
                          scattering.side_flux(P51, 1.0, np.pi / 2, 1e-3))]),
     "phase-sum-csv": (["scatter", "--phase-sum", "--N", "100", "--trials", "200",
                        "--seed", "7"], _phase_sum),
+    "g2-numeric-csv": (["g2", "--variant", "numeric", "--C", "5", "--xi", "1",
+                        "--N", "100", "--X", "0.01", "--points", "11"],
+                       lambda: _g2_rows(correlations.g2_numeric(
+                           SystemParams(C=5.0, xi=1.0, N=100), 0.01,
+                           np.linspace(0.0, 6.0, 11)))),
+    "g2-rates-json": (["g2", "--variant", "atomic-weak-recast", "--g-mhz", "1.06",
+                       "--kappa-mhz", "0.88", "--gamma-mhz", "10", "--N", "310"],
+                      lambda: _g2_rows(correlations.g2_closed_form(
+                          "atomic-weak-recast",
+                          from_raw_rates(1.06, 0.88, 10.0, 310, unit="MHz"),
+                          tau_bar_grid=np.linspace(0.0, 6.0, 1201)))),
 }
 
 

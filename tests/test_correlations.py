@@ -11,6 +11,7 @@ from conftest import full_system, oracle_covariance_scipy
 from optbistab import correlations as correlations_mod
 from optbistab.correlations import (
     G2_VARIANTS,
+    G2_X_VARIANTS,
     anomalous_correlator_time,
     g2_closed_form,
     g2_numeric,
@@ -26,7 +27,7 @@ from optbistab.covariance import (
 )
 from optbistab.lindyn import RegimeWarning, build_jacobian
 from optbistab.params import SystemParams, from_raw_rates
-from optbistab.steady_state import steady_moments
+from optbistab.steady_state import steady_moments, turning_points
 
 TAUS = np.linspace(0.0, 6.0, 601)
 
@@ -292,6 +293,21 @@ class TestNonFiniteAmplitude:
             g2_closed_form("atomic-strong", p51, X=bad, tau_bar_grid=np.array([0.0, 1.0]))
 
 
+class TestG2XVariants:
+    """G2_X_VARIANTS is the numeric route plus the closed forms that raise
+    without X, and no other."""
+
+    @pytest.mark.parametrize("variant", G2_VARIANTS)
+    def test_closed_form_without_X(self, variant):
+        p = from_raw_rates(1.0, 5.0, 10.0, 100, unit="MHz")  # xi = 1, C = 2
+        grid = np.array([0.0, 1.0])
+        if variant in G2_X_VARIANTS:
+            with pytest.raises(ValueError, match=f"{variant} requires X"):
+                g2_closed_form(variant, p, tau_bar_grid=grid)
+        else:
+            assert g2_closed_form(variant, p, tau_bar_grid=grid).values.shape == (2,)
+
+
 class TestAnomalousCorrelator:
     def test_zero_delay_continuity(self, p51):
         row = weak_covariance_row(p51, 0.05)
@@ -342,6 +358,17 @@ class TestQuadratureVariances:
         row = covariance_row(solve_lyapunov(J, build_diffusion(0.05)), "nu*")
         lyap_ratio = abs(row["nu*"].real) / row["nu"].real
         assert closed.ratio == pytest.approx(lyap_ratio, rel=1e-2)
+
+    @pytest.mark.parametrize("C", [20.0, 5.0, 2.0])
+    def test_silent_on_both_sides_of_the_weak_guard(self, C):
+        # the weak closed row is taken only where its own guard is silent
+        p = SystemParams(C=C, xi=1.0, N=1)
+        ref = turning_points(C).X_minus if C > 4.0 else 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            methods = {quadrature_variances(p, f * ref).method
+                       for f in (0.05, 0.0999, 0.1, 0.1001, 0.2)}
+        assert methods == {"weak-closed", "lyapunov"}
 
     def test_strong_field_ratio_classical_bound(self, p51):
         assert strong_field_ratio(p51, 1e3) == pytest.approx(1.0, abs=1e-3)

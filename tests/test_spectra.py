@@ -338,6 +338,14 @@ class TestSqueezingSpectrum:
         s = squeezing_spectrum_atomic(p51, 0.0, np.linspace(-5, 5, 21))
         assert np.all(s.values == 0.0)
 
+    def test_weak_guard_recorded(self, p51):
+        assert squeezing_spectrum_atomic(p51, 0.05, np.array([0.0])).warnings == ()
+        with pytest.warns(RegimeWarning) as caught:
+            s = squeezing_spectrum_atomic(p51, 1.0, np.array([0.0]))
+        assert len(caught) == 1
+        assert s.warnings == (str(caught[0].message),)
+        assert s.warnings[0].startswith("weak-excitation form at X=1,")
+
     def test_quadratic_tail_decay(self, p51):
         s = squeezing_spectrum_atomic(p51, 0.05, np.array([50.0, 100.0, 200.0]))
         assert abs(s.values[1]) < abs(s.values[0]) / 3.0
