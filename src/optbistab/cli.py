@@ -19,7 +19,7 @@ import numpy as np
 
 from . import correlations, output, params as params_mod, presets, scattering
 from . import spectra, steady_state
-from .covariance import UnstableDriftError
+from .covariance import UnstableDriftError, linearize
 from .numerics import NumericsError
 from .params import ParameterError
 
@@ -27,6 +27,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_REGIME = 4
+
+_CUBE_SIDE = 50.0  # in wavelengths, of the cube `scatter --phase-sum --N` samples
+# flags of spectrum and g2 that a --preset fixes itself (unset reads None)
+_PRESET_FIXED = ("params", "C", "xi", "N", "g_mhz", "kappa_mhz", "gamma_mhz",
+                 "X", "Y", "branch", "kind", "method", "variant")
 
 
 class UsageError(Exception):
@@ -192,10 +197,11 @@ def _pick_operating_point(params, args):
 
 
 def cmd_spectrum(args):
-    form = spectra.CLOSED_FORMS.get(args.method)
+    method = args.method or "numeric"
+    form = spectra.CLOSED_FORMS.get(method)
     kind = form.kind if form else args.kind or "atomic"
     if args.kind not in (None, kind):
-        raise UsageError(f"--method {args.method} gives the {kind} spectrum, "
+        raise UsageError(f"--method {method} gives the {kind} spectrum, "
                          f"not --kind {args.kind}")
     # a shape that depends only on X runs without params
     no_params = form and "params" not in form.needs and not any(_param_sources(args))
@@ -203,11 +209,11 @@ def cmd_spectrum(args):
     if args.branch == "unstable-middle":
         raise UnstableDriftError("linearization invalid on the unstable branch")
     grid = np.linspace(-args.ymax, args.ymax, args.points)
-    if args.method == "numeric":
+    if method == "numeric":
         X = _pick_operating_point(params, args)
-        anchor = spectra.resolvent_anchor(params, X, kind)
-        series = spectra.spectrum_numeric(params, X, kind, grid, anchor=anchor)
-        check = spectra.verify_unit_area(f"numeric-{kind}", params, X, anchor=anchor)
+        model = linearize(params, X)
+        series = spectra.spectrum_numeric(params, X, kind, grid, model=model)
+        check = spectra.verify_unit_area(f"numeric-{kind}", params, X, model=model)
         norm_note = [f"unit-area check: {check['area']:.6f} "
                      f"(tail bound {check['tail_bound']:.2e}) "
                      f"(quadrature error {check['quadrature_error']:.2e})"]
@@ -215,16 +221,16 @@ def cmd_spectrum(args):
         X = args.X
         if "X" in form.needs and X is None:
             if params is None:
-                raise UsageError(f"--method {args.method} needs --X (or --Y with params)")
+                raise UsageError(f"--method {method} needs --X (or --Y with params)")
             X = _pick_operating_point(params, args)
-        series = spectra.spectrum_closed_form(args.method, params, X=X, y_grid=grid)
+        series = spectra.spectrum_closed_form(method, params, X=X, y_grid=grid)
         norm_note = []
     if series.validity_window is not None and not args.full_range:
         lo, hi = series.validity_window
         keep = (series.y >= lo) & (series.y <= hi)
         series = dataclasses.replace(series, y=series.y[keep],
                                      values=series.values[keep])
-    _emit_series(args, [(args.method, series)], warn_msgs=norm_note)
+    _emit_series(args, [(method, series)], warn_msgs=norm_note)
     return EXIT_OK
 
 
@@ -233,14 +239,15 @@ def cmd_g2(args):
         raise UsageError("g2 needs a finite --taumax > 0")
     params = resolve_params(args, need_N=True)
     grid = np.linspace(0.0, args.taumax, args.points)
-    if args.variant in correlations.G2_X_VARIANTS and args.X is None:
-        raise UsageError(f"g2 --variant {args.variant} needs --X")
-    if args.variant == "numeric":
+    variant = args.variant or "numeric"
+    if variant in correlations.G2_X_VARIANTS and args.X is None:
+        raise UsageError(f"g2 --variant {variant} needs --X")
+    if variant == "numeric":
         series = correlations.g2_numeric(params, args.X, grid)
     else:
-        series = correlations.g2_closed_form(args.variant, params, X=args.X,
+        series = correlations.g2_closed_form(variant, params, X=args.X,
                                              tau_bar_grid=grid)
-    _emit_series(args, [(args.variant, series)])
+    _emit_series(args, [(variant, series)])
     return EXIT_OK
 
 
@@ -255,16 +262,18 @@ def cmd_squeeze(args):
 def cmd_scatter(args):
     if args.phase_sum:
         if args.geometry is not None:
+            if args.N is not None or args.cube is not None:
+                raise UsageError("--geometry gives the positions: drop --N and --cube")
             geom = scattering.load_geometry(args.geometry, rng_seed=args.seed)
             source = {"geometry_file": args.geometry, "N": len(geom.positions)}
         else:
             if args.N is None or args.N < 2:
                 raise UsageError("--phase-sum needs --N >= 2 (or --geometry FILE)")
-            positions = scattering.sample_positions_cube(args.N, args.cube,
-                                                         seed=args.seed)
+            cube = _CUBE_SIDE if args.cube is None else args.cube
+            positions = scattering.sample_positions_cube(args.N, cube, seed=args.seed)
             geom = scattering.ScatterGeometry(positions=positions,
                                               rng_seed=args.seed)
-            source = {"N": args.N, "cube_side_lambda": args.cube}
+            source = {"N": args.N, "cube_side_lambda": cube}
         stats = scattering.phase_sum_monte_carlo(geom, args.trials)
         meta = {"command": "scatter-phase-sum", **source, "trials": args.trials,
                 "seed": args.seed}
@@ -321,8 +330,8 @@ def build_parser():
     _add_param_flags(p)
     p.add_argument("--kind", choices=("atomic", "forward"),
                    help="numeric default atomic; a closed form has its own")
-    p.add_argument("--method", default="numeric",
-                   choices=("numeric",) + spectra.CLOSED_FORM_VARIANTS)
+    p.add_argument("--method", choices=("numeric",) + spectra.CLOSED_FORM_VARIANTS,
+                   help="default numeric")
     p.add_argument("--X", type=float)
     p.add_argument("--Y", type=float)
     p.add_argument("--branch", choices=("lower", "upper", "unstable-middle"))
@@ -336,8 +345,8 @@ def build_parser():
 
     p = sub.add_parser("g2", help="second-order correlation functions")
     _add_param_flags(p)
-    p.add_argument("--variant", default="numeric",
-                   choices=("numeric",) + correlations.G2_VARIANTS)
+    p.add_argument("--variant", choices=("numeric",) + correlations.G2_VARIANTS,
+                   help="default numeric")
     p.add_argument("--X", type=float)
     p.add_argument("--taumax", type=float, default=6.0)
     p.add_argument("--points", type=int, default=1201)
@@ -356,8 +365,8 @@ def build_parser():
     p.add_argument("--phase-sum", action="store_true", dest="phase_sum")
     p.add_argument("--geometry", help="JSON file with [x, y, z] positions in "
                    "wavelength units")
-    p.add_argument("--cube", type=float, default=50.0,
-                   help="cube side in wavelengths for sampled positions")
+    p.add_argument("--cube", type=float, help="cube side in wavelengths for "
+                   f"sampled positions (default {_CUBE_SIDE:g})")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--X", type=float)
     p.add_argument("--theta", type=float, default=np.pi / 2)
@@ -392,10 +401,14 @@ def _run(args):
             if not np.isfinite(getattr(args, flag, None) or 0.0):  # unset reads 0
                 raise UsageError(f"--{flag} must be finite")
         for flag in ("ymax", "cube", "solid_angle", "points", "trials"):
-            if getattr(args, flag, 1) <= 0:  # absent from this command reads 1
+            if (value := getattr(args, flag, None)) is not None and value <= 0:
                 raise UsageError(f"--{flag.replace('_', '-')} must be positive")
         # `preset NAME` and the --preset of spectrum and g2 run here
-        rc = cmd_preset(args) if getattr(args, "preset", None) else args.func(args)
+        preset = getattr(args, "preset", None)
+        fixed = [f for f in _PRESET_FIXED if getattr(args, f, None) is not None]
+        if preset and fixed:
+            raise UsageError(f"--preset {preset} takes no --{fixed[0].replace('_', '-')}")
+        rc = cmd_preset(args) if preset else args.func(args)
         return rc if isinstance(rc, int) else EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

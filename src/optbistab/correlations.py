@@ -218,11 +218,11 @@ def g2_numeric(params, X, tau_bar_grid) -> CorrelationSeries:
     if X == 0:
         raise ValueError("coherent amplitude vanishes at X = 0")
     t = checked_delays(tau_bar_grid)
-    J, Cinf = linearize(params, X)
-    c0 = covariance_row(Cinf, "nu*").entries
+    model = linearize(params, X)
+    c0 = covariance_row(model.C, "nu*").entries
     p = abs(steady_moments(X)[1])
     norm = (p * p + c0[2].real / params.N) ** 2
-    c = propagate(J.entries, t, c0)
+    c = propagate(model.J.entries, t, c0)
     vals = 1.0 + (2.0 / params.N) * p * p * (c[:, 2] + c[:, 3]).real / norm
     warn_msgs = []
     if np.any(vals < 0):
@@ -252,8 +252,7 @@ def quadrature_variances(params, X) -> QuadratureVariances:
         jz = -1.0
         method = "weak-closed"
     else:
-        _, Cinf = linearize(params, X)
-        row = covariance_row(Cinf, "nu*")
+        row = covariance_row(linearize(params, X).C, "nu*")
         jz = steady_moments(X)[3]
         method = "lyapunov"
     c_nu, c_nu_star = row["nu"].real, row["nu*"].real

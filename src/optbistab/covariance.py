@@ -11,11 +11,13 @@ Two-time correlators anchored to one row r of the covariance form a
 
     c(tau_bar) = exp(J tau_bar) c(0),      c_hat(s_bar) = (s_bar I - J)^{-1} c(0),
 
-with c(0) the r-th row of the stationary covariance.
+with c(0) the r-th row of the stationary covariance. linearize returns the
+LinearModel (J, C) of one operating point, whose resolve evaluates c_hat.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,12 +122,42 @@ def solve_lyapunov(J: FluctuationMatrix, D: FluctuationMatrix) -> FluctuationMat
     return FluctuationMatrix(C, kind="covariance")
 
 
-def linearize(params, X):
-    """(J, C): the full drift at amplitude X and its stationary covariance.
-    An unstable point raises UnstableDriftError naming X."""
+@dataclass(frozen=True)
+class LinearModel:
+    """One operating point's full drift J and stationary covariance C. The
+    drift eigendecomposition eig = numerics.eigenbasis(J.entries) and the
+    resolvent's eigenbasis bound are built on first use, once."""
+
+    J: FluctuationMatrix
+    C: FluctuationMatrix
+
+    @cached_property
+    def eig(self):
+        return eigenbasis(self.J.entries)
+
+    @cached_property
+    def _certificate(self):
+        return _eigenbasis_bound(self.J.entries, self.eig)
+
+    def resolve(self, c0: CorrelationVector, s_bar, comp):
+        """Component comp of (s_bar I - J)^{-1} c0 at every point of s_bar, with
+        the checks and errors of laplace_correlation_vector, in fixed blocks."""
+        s = np.atleast_1d(np.asarray(s_bar, dtype=complex))
+        k = IDX[comp]
+        out = np.empty(s.size, dtype=complex)
+        for start in range(0, s.size, _RESOLVENT_BLOCK):
+            block = slice(start, start + _RESOLVENT_BLOCK)
+            out[block] = _resolve_block(self.J.entries, self.eig[0], self._certificate,
+                                        c0.entries, s[block])[:, k]
+        return out
+
+
+def linearize(params, X) -> LinearModel:
+    """The LinearModel at amplitude X: the full drift and its stationary
+    covariance. An unstable point raises UnstableDriftError naming X."""
     J = build_jacobian(params, X, regime="full")
     try:
-        return J, solve_lyapunov(J, build_diffusion(X))
+        return LinearModel(J, solve_lyapunov(J, build_diffusion(X)))
     except UnstableDriftError:
         raise UnstableDriftError(f"operating point X={X:g} is not stable") from None
 
@@ -318,27 +350,6 @@ def _resolve_block(J, w, certificate, b, s):
             condition=cond,
         )
     return x
-
-
-def resolvent(J: FluctuationMatrix, eig):
-    """(c0, s_bar, comp) -> component comp of (s_bar I - J)^{-1} c0 at every
-    point of s_bar, with the checks and errors of laplace_correlation_vector.
-
-    eig = numerics.eigenbasis(J.entries) gives the pole gaps and, once, the
-    eigenbasis bound. Points go in fixed blocks, keeping one component each.
-    """
-    w, cert = eig[0], _eigenbasis_bound(J.entries, eig)
-
-    def component(c0, s_bar, comp):
-        s = np.atleast_1d(np.asarray(s_bar, dtype=complex))
-        k = IDX[comp]
-        out = np.empty(s.size, dtype=complex)
-        for start in range(0, s.size, _RESOLVENT_BLOCK):
-            block = slice(start, start + _RESOLVENT_BLOCK)
-            out[block] = _resolve_block(J.entries, w, cert, c0.entries, s[block])[:, k]
-        return out
-
-    return component
 
 
 def laplace_correlation_vector(J: FluctuationMatrix, c0: CorrelationVector,

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CorrelationVector
+from .covariance import CorrelationVector, linearize
 from .numerics import TOL
 from .params import params_meta
-from .spectra import SpectrumSeries, resolvent_anchor
+from .spectra import SpectrumSeries, incoherent_anchor
 
 
 @dataclass(frozen=True)
@@ -231,11 +231,10 @@ def auxiliary_spectrum(params, X, channel: AuxiliaryChannel, y_grid) -> Spectrum
     rather than skipped, so the cancellation is a computed fact.
     """
     y = np.asarray(y_grid, dtype=float)
-    anchor, pref = resolvent_anchor(params, X, "atomic"), channel.prefactor
-    c0 = anchor.c0
+    model, pref = linearize(params, X), channel.prefactor
+    c0, comp, norm = incoherent_anchor(model, X, "atomic")
     scaled_c0 = CorrelationVector(row=c0.row, entries=pref * c0.entries, tau_bar=0.0)
-    values = (anchor.resolve(scaled_c0, -1j * y, anchor.comp).real
-              / (np.pi * (pref * anchor.norm)))
+    values = model.resolve(scaled_c0, -1j * y, comp).real / (np.pi * (pref * norm))
     return SpectrumSeries(
         y=y, values=values, kind="atomic", method="auxiliary-channel",
         params=params_meta(params, X=X, g_aux=channel.g_aux,

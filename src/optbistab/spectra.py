@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import CorrelationVector, covariance_row, linearize, resolvent
-from .lindyn import FluctuationMatrix, RegimeWarning, regime_violation, weak_scales
-from .numerics import TOL, ConditioningError, eigenbasis
+from .covariance import covariance_row, linearize
+from .lindyn import RegimeWarning, regime_violation, weak_scales
+from .numerics import TOL, ConditioningError
 from .params import params_meta
 
 @dataclass(frozen=True)
@@ -165,11 +165,6 @@ CLOSED_FORMS = {
 # views of the table by variant name
 CLOSED_FORM_VARIANTS = tuple(CLOSED_FORMS)
 UNIT_AREA_VARIANTS = tuple(v for v, form in CLOSED_FORMS.items() if form.poles)
-_CLOSED_FORM_POLES = {v: form.poles for v, form in CLOSED_FORMS.items() if form.poles}
-
-
-def _closed_form_values(variant, y, params, X):
-    return CLOSED_FORMS[variant].values(y, params, X)
 
 
 def _require_inputs(variant, params, X):
@@ -213,61 +208,41 @@ def spectrum_closed_form(variant, params=None, X=None, y_grid=None) -> SpectrumS
 # numeric resolvent spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResolventAnchor:
-    """The model a numeric spectrum resolves at one operating point: the drift
-    J, its one eigendecomposition eig = numerics.eigenbasis(J.entries), the
-    anchor row c0 of the stationary covariance, the component comp read, the
-    incoherent weight norm = Re c0[comp] and resolve = resolvent(J, eig)."""
+def incoherent_anchor(model, X, kind):
+    """(c0, comp, norm) of a numeric spectrum at the model's operating point.
 
-    J: FluctuationMatrix
-    eig: tuple
-    c0: CorrelationVector
-    comp: str
-    norm: float
-    resolve: Callable
-
-    def values(self, y):
-        """T(y) = Re{[(-i y I - J)^{-1} c0]_comp} / (pi * norm)."""
-        return self.resolve(self.c0, -1j * y, self.comp).real / (np.pi * self.norm)
-
-
-def resolvent_anchor(params, X, kind) -> ResolventAnchor:
-    """Everything a numeric spectrum resolves, with its preconditions checked.
-
-    kind="atomic" anchors the nu* row of the stationary covariance and reads
-    the nu component; kind="forward" anchors z* and reads z. Requires X > 0
-    (at X = 0 there is no incoherent component to normalize), a stable
-    operating point and a positive incoherent weight.
+    kind="atomic" anchors the nu* row c0 of the stationary covariance and
+    reads the nu component; kind="forward" anchors z* and reads z. norm =
+    Re c0[comp] is the incoherent weight. Requires X > 0 (at X = 0 there is
+    no incoherent component to normalize) and a positive weight.
     """
     if kind not in ("atomic", "forward"):
         raise ValueError(f"kind must be 'atomic' or 'forward', got {kind!r}")
     if X == 0:
         raise ValueError("no incoherent component at X = 0")
-    J, Cinf = linearize(params, X)
     row, comp = ("nu*", "nu") if kind == "atomic" else ("z*", "z")
-    c0 = covariance_row(Cinf, row)
+    c0 = covariance_row(model.C, row)
     norm = c0[comp].real
     if norm <= 0:
         raise ValueError(f"incoherent weight {row}->{comp} is not positive")
-    eig = eigenbasis(J.entries)
-    return ResolventAnchor(J, eig, c0, comp, norm, resolvent(J, eig))
+    return c0, comp, norm
 
 
-def spectrum_numeric(params, X, kind, y_grid, *, anchor=None) -> SpectrumSeries:
+def spectrum_numeric(params, X, kind, y_grid, *, model=None) -> SpectrumSeries:
     """Spectrum from the stationary covariance and the drift resolvent.
 
     kind is "atomic" or "forward"; the anchor row, the component read and
-    the preconditions on the operating point are those of resolvent_anchor,
-    whose record a caller that has built it passes as anchor.
+    the preconditions on the operating point are those of incoherent_anchor;
+    model is linearize(params, X), passed by a caller that has built it.
     """
     y = np.asarray(y_grid, dtype=float)
     if y.size == 0:
         raise ValueError("empty frequency grid")
-    anchor = anchor or resolvent_anchor(params, X, kind)
+    model = model or linearize(params, X)
+    c0, comp, norm = incoherent_anchor(model, X, kind)
     return SpectrumSeries(
-        y=y, values=anchor.values(y), kind=kind, method="numeric-resolvent",
-        params=params_meta(params, X=X),
+        y=y, values=model.resolve(c0, -1j * y, comp).real / (np.pi * norm),
+        kind=kind, method="numeric-resolvent", params=params_meta(params, X=X),
     )
 
 
@@ -412,12 +387,12 @@ def certified_area(evaluate, poles):
         f"(|I32 - I16| = {np.sum(err[~ok]):.2e} left)")
 
 
-def verify_unit_area(variant, params=None, X=None, *, anchor=None):
+def verify_unit_area(variant, params=None, X=None, *, model=None):
     """Certified unit-area check for a spectrum variant.
 
     Accepts a closed-form variant name together with its parameters, or
-    "numeric-atomic"/"numeric-forward" (anchor: their resolvent_anchor record,
-    if built; its drift eigenvalues are the poles). Returns the certified-area
+    "numeric-atomic"/"numeric-forward" (model: linearize(params, X), if
+    built; its drift eigenvalues are the poles). Returns the certified-area
     record; callers compare record["area"] against 1 within the tail bound
     plus the quadrature error.
     """
@@ -425,7 +400,9 @@ def verify_unit_area(variant, params=None, X=None, *, anchor=None):
         raise ValueError(f"{variant!r} is not a unit-area variant")
     _require_inputs(variant, params, X)
     if variant.startswith("numeric-"):
-        anchor = anchor or resolvent_anchor(params, X, variant.split("-", 1)[1])
-        return certified_area(anchor.values, anchor.eig[0])
+        model = model or linearize(params, X)
+        c0, comp, norm = incoherent_anchor(model, X, variant.split("-", 1)[1])
+        return certified_area(lambda y: model.resolve(c0, -1j * y, comp).real
+                              / (np.pi * norm), model.eig[0])
     form = CLOSED_FORMS[variant]
     return certified_area(lambda y: form.values(y, params, X), form.poles(params, X))

@@ -8,24 +8,24 @@ a LinAlgError or a NaN. A certified area must be 1, and its reported bound
 that runs the 64-point rule on panels it bisects until they converge.
 """
 
-import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optbistab.covariance import UnstableDriftError
+from optbistab import covariance as covariance_mod
+from optbistab.covariance import UnstableDriftError, linearize
 from optbistab.lindyn import RegimeWarning
 from optbistab.numerics import NumericsError
 from optbistab.params import SystemParams
 from optbistab.spectra import (
-    _CLOSED_FORM_POLES,
+    CLOSED_FORMS,
     UNIT_AREA_VARIANTS,
-    _closed_form_values,
     area_breakpoints,
-    resolvent_anchor,
+    spectrum_numeric,
     verify_unit_area,
 )
 from optbistab.steady_state import turning_points
@@ -83,11 +83,15 @@ def assert_numeric_contract(C, xi, X, kind):
     """A certified, covered unit area, or a typed package error."""
     params = SystemParams(C=C, xi=xi, N=100)
     try:
-        anchor = resolvent_anchor(params, X, kind)
-        record = verify_unit_area(f"numeric-{kind}", params, X, anchor=anchor)
+        model = linearize(params, X)
+        record = verify_unit_area(f"numeric-{kind}", params, X, model=model)
     except (NumericsError, UnstableDriftError):
         return
-    assert_certified(record, anchor.values, anchor.eig[0])
+
+    def evaluate(y):
+        return spectrum_numeric(params, X, kind, y, model=model).values
+
+    assert_certified(record, evaluate, model.eig[0])
 
 
 def assert_closed_form_contract(variant, C, xi, X):
@@ -97,9 +101,9 @@ def assert_closed_form_contract(variant, C, xi, X):
         record = verify_unit_area(variant, params, X)
 
     def evaluate(y):
-        return _closed_form_values(variant, y, params, X)
+        return CLOSED_FORMS[variant].values(y, params, X)
 
-    assert_certified(record, evaluate, _CLOSED_FORM_POLES[variant](params, X))
+    assert_certified(record, evaluate, CLOSED_FORMS[variant].poles(params, X))
 
 
 log_C = st.floats(-1.0, 4.0)
@@ -171,13 +175,13 @@ def test_features_far_below_the_largest_eigenvalue(C, xi, X, kind):
 def test_numeric_area_evaluation_budget(C, xi, X, kind):
     # the points the CLI benchmark resolves: 3,000 evaluations or fewer each
     params = SystemParams(C=C, xi=xi, N=1)
-    anchor = resolvent_anchor(params, X, kind)
+    resolve_block = covariance_mod._resolve_block
     calls = []
 
-    def counted(c0, s, comp):
+    def counted(J, w, certificate, b, s):
         calls.append(s.size)
-        return anchor.resolve(c0, s, comp)
+        return resolve_block(J, w, certificate, b, s)
 
-    counting = dataclasses.replace(anchor, resolve=counted)
-    verify_unit_area(f"numeric-{kind}", params, X, anchor=counting)
+    with mock.patch.object(covariance_mod, "_resolve_block", counted):
+        verify_unit_area(f"numeric-{kind}", params, X)
     assert 0 < sum(calls) <= 3000

@@ -424,6 +424,25 @@ class TestScatterCommand:
         assert {k: doc[k] for k in dataclasses.asdict(stats)} == dataclasses.asdict(stats)
         assert (doc["meta"]["geometry_file"], doc["meta"]["N"]) == (str(geometry), 30)
 
+    @pytest.mark.parametrize("flag", [["--N", "50"], ["--cube", "7"]])
+    def test_geometry_file_takes_no_cube_flag(self, tmp_path, capsys, flag):
+        geometry = tmp_path / "atoms.json"
+        geometry.write_text("[[0, 0, 0], [1, 0.5, 0], [0.3, 2, 1]]")
+        rc = cli.main(["scatter", "--phase-sum", "--geometry", str(geometry), *flag,
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "--geometry gives the positions" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["atoms.json"]
+
+    def test_sampled_cube_side_defaults_to_50(self, tmp_path):
+        for name, flag in (("unset", []), ("given", ["--cube", "50"])):
+            rc = cli.main(["scatter", "--phase-sum", "--N", "10", "--trials", "20", *flag,
+                           "--out", str(tmp_path / name)])
+            assert rc == 0
+        text = (tmp_path / "unset.csv").read_text()
+        assert "# cube_side_lambda=50\n" in text
+        assert text == (tmp_path / "given.csv").read_text()
+
     def test_flux_csv(self, tmp_path):
         out = tmp_path / "flux"
         rc = cli.main(["scatter", "--C", "5", "--xi", "1", "--X", "1",
@@ -573,6 +592,7 @@ class TestExitCodes:
         ["spectrum", "--method", "numeric", "--C", "5", "--xi", "1", "--X", "0.01",
          "--points", "0"],
         ["scatter", "--phase-sum", "--N", "10", "--cube", "-5"],
+        ["scatter", "--phase-sum", "--N", "10", "--cube", "0"],
         ["scatter", "--phase-sum", "--N", "10", "--trials", "0"],
         ["scatter", "--C", "5", "--xi", "1", "--X", "1", "--solid-angle", "0"],
         ["g2", "--variant", "atomic-weak", "--C", "5", "--xi", "1", "--N", "100",
@@ -583,6 +603,22 @@ class TestExitCodes:
         rc = cli.main(argv + ["--out", str(tmp_path / "o")])
         assert rc == 2
         assert "must be positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["spectrum", "--preset", "fig1c", "--C", "99", "--xi", "3",
+          "--method", "bad-cavity"], "--C"),
+        (["spectrum", "--preset", "fig1c", "--method", "numeric"], "--method"),
+        (["spectrum", "--preset", "fig1d", "--X", "20"], "--X"),
+        (["spectrum", "--preset", "fig1d", "--kind", "atomic"], "--kind"),
+        (["g2", "--preset", "fig2a", "--X", "0.01"], "--X"),
+        (["g2", "--preset", "fig2a", "--variant", "numeric"], "--variant"),
+        (["g2", "--preset", "fig2a", "--kappa-mhz", "0.88"], "--kappa-mhz"),
+    ])
+    def test_preset_takes_no_parameter_or_method_flag(self, tmp_path, capsys, argv, flag):
+        rc = cli.main(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"takes no {flag}\n" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_unknown_preset_rejected(self):

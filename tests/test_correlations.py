@@ -193,7 +193,7 @@ class TestNumericRoute:
     def test_zero_delay_is_equal_time_formula(self, p51):
         X = 0.3
         got = g2_numeric(p51, X, np.linspace(0.0, 6.0, 1201)).values[0]
-        _, Cinf = linearize(p51, X)
+        Cinf = linearize(p51, X).C
         c0 = covariance_row(Cinf, "nu*").entries
         p = abs(steady_moments(X)[1])
         norm = (p * p + c0[2].real / p51.N) ** 2
@@ -206,7 +206,8 @@ class TestNumericRoute:
         p = SystemParams(C=(xi - 1.0) ** 2 / (8.0 * xi), xi=xi, N=10**4)
         X = 1e-4
         t = np.linspace(0.0, 10.0, 101)
-        J, Cinf = linearize(p, X)
+        model = linearize(p, X)
+        J, Cinf = model.J, model.C
         assert 1e4 < np.linalg.cond(np.linalg.eig(J.entries)[1]) < 1e6
         c0 = covariance_row(Cinf, "nu*")
         want = np.array([scipy.linalg.expm(J.entries * tk) @ c0.entries for tk in t])

@@ -19,12 +19,12 @@ from conftest import (
 from optbistab import covariance as covariance_mod
 from optbistab.covariance import (
     CorrelationVector,
+    LinearModel,
     UnstableDriftError,
     covariance_row,
     evolve_correlation_vector,
     laplace_correlation_vector,
     linearize,
-    resolvent,
     solve_lyapunov,
     strong_covariance_closed,
     weak_covariance_row,
@@ -52,7 +52,7 @@ from optbistab.steady_state import turning_points
 def resolvent_component(J, c0, s_bar, comp):
     """Component comp of (s_bar I - J)^{-1} c0 at every point of s_bar, from
     one eigendecomposition of J, as the numeric spectrum routes build it."""
-    return resolvent(J, eigenbasis(J.entries))(c0, s_bar, comp)
+    return LinearModel(J, None).resolve(c0, s_bar, comp)
 
 
 @pytest.fixture
@@ -89,7 +89,8 @@ class TestSolveLyapunov:
         assert np.max(np.abs(ours - ref2)) <= 1e-9 * scale
 
     def test_linearize_is_the_full_drift_and_its_covariance(self, weak_params):
-        J, C = linearize(weak_params, 0.01)
+        model = linearize(weak_params, 0.01)
+        J, C = model.J, model.C
         J_ref = build_jacobian(weak_params, 0.01, "full")
         assert np.array_equal(J.entries, J_ref.entries)
         assert np.array_equal(C.entries,

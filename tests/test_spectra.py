@@ -8,7 +8,8 @@ import pytest
 
 from conftest import half_grid
 from optbistab import covariance as covariance_mod
-from optbistab.covariance import UnstableDriftError, weak_covariance_row
+from optbistab.correlations import g2_numeric, quadrature_variances
+from optbistab.covariance import UnstableDriftError, linearize, weak_covariance_row
 from optbistab.lindyn import RegimeWarning, saturation_factor
 from optbistab.numerics import ConditioningError
 from optbistab.params import SystemParams
@@ -257,7 +258,7 @@ class TestUnitArea:
 
     def test_area_record_reports_the_last_edge_and_both_errors(self, p51):
         res = verify_unit_area("numeric-atomic", p51, 0.01)
-        poles = np.linalg.eigvals(covariance_mod.linearize(p51, 0.01)[0].entries)
+        poles = np.linalg.eigvals(covariance_mod.linearize(p51, 0.01).J.entries)
         assert res["y_max"] == pytest.approx(area_breakpoints(poles)[-1], rel=1e-12)
         assert 0.0 <= res["tail_bound"] < 1e-12
         assert 0.0 <= res["quadrature_error"] < 1e-12
@@ -290,6 +291,43 @@ class TestUnitArea:
         assert res["area"] == pytest.approx(2.0, abs=2e-2)
         assert "upper-forward-bad-cavity" not in UNIT_AREA_VARIANTS
         assert "good-cavity" not in UNIT_AREA_VARIANTS
+
+
+def _eig_and_svd_calls(run):
+    """(np.linalg.eig calls, np.linalg.svd calls) that run() makes."""
+    with mock.patch.object(np.linalg, "eig", side_effect=np.linalg.eig) as eig, \
+            mock.patch.object(np.linalg, "svd", side_effect=np.linalg.svd) as svd:
+        run()
+    return eig.call_count, svd.call_count
+
+
+class TestOneModelPerPoint:
+    def test_covariance_routes_build_no_eigenbasis(self):
+        # (C, xi, X) = (5, 1, 3) is past the weak guard: the Lyapunov route
+        p, X = SystemParams(C=5.0, xi=1.0, N=100), 3.0
+        model_cost = _eig_and_svd_calls(lambda: linearize(p, X))
+        assert model_cost[0] == 0
+        assert quadrature_variances(p, X).method == "lyapunov"
+        assert _eig_and_svd_calls(lambda: quadrature_variances(p, X)) == model_cost
+        # g2 pays only its propagator's eigenbasis: one eig, one SVD of V
+        grid = np.linspace(0.0, 6.0, 50)
+        assert _eig_and_svd_calls(lambda: g2_numeric(p, X, grid)) == (1, model_cost[1] + 1)
+
+    @pytest.mark.parametrize("X, kind", [(0.01, "atomic"), (100.0, "forward")])
+    def test_series_and_area_share_one_eigendecomposition(self, p51, X, kind):
+        y = np.linspace(-30.0, 30.0, 2001)
+        series = spectrum_numeric(p51, X, kind, y)
+        area = verify_unit_area(f"numeric-{kind}", p51, X)
+        model = linearize(p51, X)
+        shared = {}
+
+        def run():
+            shared["series"] = spectrum_numeric(p51, X, kind, y, model=model)
+            shared["area"] = verify_unit_area(f"numeric-{kind}", p51, X, model=model)
+
+        assert _eig_and_svd_calls(run)[0] == 1
+        assert np.array_equal(shared["series"].values, series.values)
+        assert shared["area"] == area
 
 
 class TestAnomalousLaplace:
