@@ -425,7 +425,7 @@ class TestScatterCommand:
         assert (doc["meta"]["geometry_file"], doc["meta"]["N"]) == (str(geometry), 30)
 
     @pytest.mark.parametrize("flag", [["--N", "50"], ["--cube", "7"]])
-    def test_geometry_file_takes_no_cube_flag(self, tmp_path, capsys, flag):
+    def test_geometry_file_refuses_N_and_cube(self, tmp_path, capsys, flag):
         geometry = tmp_path / "atoms.json"
         geometry.write_text("[[0, 0, 0], [1, 0.5, 0], [0.3, 2, 1]]")
         rc = cli.main(["scatter", "--phase-sum", "--geometry", str(geometry), *flag,
