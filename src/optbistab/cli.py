@@ -29,9 +29,13 @@ EXIT_NUMERIC = 3
 EXIT_REGIME = 4
 
 _CUBE_SIDE = 50.0  # in wavelengths, of the cube `scatter --phase-sum --N` samples
-# flags of spectrum and g2 that a --preset fixes itself (unset reads None)
+# the flags a run ignores, which _refuse refuses: those a spectrum or g2 --preset
+# fixes, and those only one scatter mode reads; all are unset (None) by default
 _PRESET_FIXED = ("params", "C", "xi", "N", "g_mhz", "kappa_mhz", "gamma_mhz",
-                 "X", "Y", "branch", "kind", "method", "variant")
+                 "X", "Y", "branch", "kind", "method", "variant", "ymax", "points", "taumax")
+_FLUX_ONLY = ("params", "C", "xi", "g_mhz", "kappa_mhz", "gamma_mhz", "X", "theta",
+              "solid_angle")
+_PHASE_SUM_ONLY = ("geometry", "cube", "trials")
 
 
 class UsageError(Exception):
@@ -89,10 +93,11 @@ def resolve_params(args, need_N=False):
     return params_mod.SystemParams(C=args.C, xi=args.xi, N=args.N)
 
 
-def _record_meta(p, **extra):
-    """Series metadata of p plus its raw rates, when it carries them."""
-    return params_mod.params_meta(p, g=p.g, kappa=p.kappa, gamma=p.gamma,
-                                  n_sc=p.n_sc, **extra)
+def _refuse(args, flags, run):
+    """Usage error naming the first of `flags` given to `run`, which ignores it."""
+    given = [f for f in flags if getattr(args, f, None) is not None]
+    if given:
+        raise UsageError(f"{run} takes no --{given[0].replace('_', '-')}")
 
 
 def _emit_record(args, stem, meta, columns=None, rows=None, record=None,
@@ -208,7 +213,8 @@ def cmd_spectrum(args):
     params = None if no_params else resolve_params(args)
     if args.branch == "unstable-middle":
         raise UnstableDriftError("linearization invalid on the unstable branch")
-    grid = np.linspace(-args.ymax, args.ymax, args.points)
+    ymax = 30.0 if args.ymax is None else args.ymax
+    grid = np.linspace(-ymax, ymax, 2001 if args.points is None else args.points)
     if method == "numeric":
         X = _pick_operating_point(params, args)
         model = linearize(params, X)
@@ -235,10 +241,11 @@ def cmd_spectrum(args):
 
 
 def cmd_g2(args):
-    if not 0 < args.taumax < np.inf:
+    taumax = 6.0 if args.taumax is None else args.taumax
+    if not 0 < taumax < np.inf:
         raise UsageError("g2 needs a finite --taumax > 0")
     params = resolve_params(args, need_N=True)
-    grid = np.linspace(0.0, args.taumax, args.points)
+    grid = np.linspace(0.0, taumax, 1201 if args.points is None else args.points)
     variant = args.variant or "numeric"
     if variant in correlations.G2_X_VARIANTS and args.X is None:
         raise UsageError(f"g2 --variant {variant} needs --X")
@@ -254,13 +261,14 @@ def cmd_g2(args):
 def cmd_squeeze(args):
     params = resolve_params(args)
     qv = correlations.quadrature_variances(params, args.X)
-    meta = _record_meta(params, X=args.X, command="squeeze", seed=args.seed)
+    meta = params_mod.params_meta(params, X=args.X, command="squeeze", seed=args.seed)
     _emit_record(args, args.out or "squeeze", meta, record=dataclasses.asdict(qv))
     return EXIT_OK
 
 
 def cmd_scatter(args):
     if args.phase_sum:
+        _refuse(args, _FLUX_ONLY, "scatter --phase-sum")
         if args.geometry is not None:
             if args.N is not None or args.cube is not None:
                 raise UsageError("--geometry gives the positions: drop --N and --cube")
@@ -274,20 +282,23 @@ def cmd_scatter(args):
             geom = scattering.ScatterGeometry(positions=positions,
                                               rng_seed=args.seed)
             source = {"N": args.N, "cube_side_lambda": cube}
-        stats = scattering.phase_sum_monte_carlo(geom, args.trials)
-        meta = {"command": "scatter-phase-sum", **source, "trials": args.trials,
+        trials = 1000 if args.trials is None else args.trials
+        stats = scattering.phase_sum_monte_carlo(geom, trials)
+        meta = {"command": "scatter-phase-sum", **source, "trials": trials,
                 "seed": args.seed}
         _emit_record(args, args.out or "phase_sum", meta,
                      record=dataclasses.asdict(stats))
         return EXIT_OK
     # incoherent side flux
+    _refuse(args, _PHASE_SUM_ONLY, "scatter flux")
     params = resolve_params(args)
     if args.X is None:
         raise UsageError("scatter flux needs --X")
-    res = scattering.side_flux(params, args.X, args.theta, args.solid_angle)
-    meta = _record_meta(params, X=args.X, theta=args.theta,
-                        solid_angle=args.solid_angle, command="scatter-flux",
-                        seed=args.seed)
+    theta = np.pi / 2 if args.theta is None else args.theta
+    solid_angle = 1e-3 if args.solid_angle is None else args.solid_angle
+    res = scattering.side_flux(params, args.X, theta, solid_angle)
+    meta = params_mod.params_meta(params, X=args.X, theta=theta, solid_angle=solid_angle,
+                                  command="scatter-flux", seed=args.seed)
     _emit_record(args, args.out or "side_flux", meta, record=dataclasses.asdict(res))
     return EXIT_OK
 
@@ -335,8 +346,8 @@ def build_parser():
     p.add_argument("--X", type=float)
     p.add_argument("--Y", type=float)
     p.add_argument("--branch", choices=("lower", "upper", "unstable-middle"))
-    p.add_argument("--ymax", type=float, default=30.0)
-    p.add_argument("--points", type=int, default=2001)
+    p.add_argument("--ymax", type=float, help="grid half-width (default 30)")
+    p.add_argument("--points", type=int, help="grid size (default 2001)")
     p.add_argument("--preset", choices=presets.PRESET_NAMES)
     p.add_argument("--full-range", action="store_true",
                    help="do not truncate series to their validity window")
@@ -348,8 +359,8 @@ def build_parser():
     p.add_argument("--variant", choices=("numeric",) + correlations.G2_VARIANTS,
                    help="default numeric")
     p.add_argument("--X", type=float)
-    p.add_argument("--taumax", type=float, default=6.0)
-    p.add_argument("--points", type=int, default=1201)
+    p.add_argument("--taumax", type=float, help="largest delay (default 6)")
+    p.add_argument("--points", type=int, help="grid size (default 1201)")
     p.add_argument("--preset", choices=presets.PRESET_NAMES)
     _add_io_flags(p)
     p.set_defaults(func=cmd_g2)
@@ -367,10 +378,10 @@ def build_parser():
                    "wavelength units")
     p.add_argument("--cube", type=float, help="cube side in wavelengths for "
                    f"sampled positions (default {_CUBE_SIDE:g})")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, help="phase-sum directions (default 1000)")
     p.add_argument("--X", type=float)
-    p.add_argument("--theta", type=float, default=np.pi / 2)
-    p.add_argument("--solid-angle", type=float, default=1e-3, dest="solid_angle")
+    p.add_argument("--theta", type=float, help="flux polar angle (default pi/2)")
+    p.add_argument("--solid-angle", type=float, dest="solid_angle", help="default 1e-3")
     _add_io_flags(p)
     p.set_defaults(func=cmd_scatter)
 
@@ -405,9 +416,8 @@ def _run(args):
                 raise UsageError(f"--{flag.replace('_', '-')} must be positive")
         # `preset NAME` and the --preset of spectrum and g2 run here
         preset = getattr(args, "preset", None)
-        fixed = [f for f in _PRESET_FIXED if getattr(args, f, None) is not None]
-        if preset and fixed:
-            raise UsageError(f"--preset {preset} takes no --{fixed[0].replace('_', '-')}")
+        if preset:
+            _refuse(args, _PRESET_FIXED, f"--preset {preset}")
         rc = cmd_preset(args) if preset else args.func(args)
         return rc if isinstance(rc, int) else EXIT_OK
     except UsageError as exc:

@@ -24,7 +24,7 @@ from .covariance import (
     strong_covariance_closed,
     weak_covariance_row,
 )
-from .lindyn import RegimeWarning, regime_violation, weak_scales
+from .lindyn import RegimeWarning, regime_violation, warn_regime, weak_scales
 from .numerics import propagate
 from .params import params_meta
 from .steady_state import steady_moments
@@ -106,8 +106,7 @@ def anomalous_correlator_time(params, X, tau_bar):
     if not np.isfinite(X):
         raise ValueError("X must be finite")
     t = checked_delays(tau_bar)
-    if msg := regime_violation(params.C, X, "weak"):
-        warnings.warn(msg, RegimeWarning, stacklevel=2)
+    warn_regime(regime_violation(params.C, X, "weak"))
     two_C, xi = 2.0 * params.C, params.xi
     G = weak_scales(params, X).G_bar
     pre = -X * X / ((xi + 1.0) * (1.0 + two_C))
@@ -121,12 +120,6 @@ def anomalous_correlator_time(params, X, tau_bar):
 def _bracket(G, t, sin_coeff):
     """cos(G t) + sin_coeff * sin(G t)/G, complex-safe."""
     return np.cos(G * t) + sin_coeff * _sin_over(G, t)
-
-
-def _warn(msg, warn_msgs):
-    """Issue msg as a RegimeWarning at the caller's caller and record it."""
-    warnings.warn(msg, RegimeWarning, stacklevel=3)
-    warn_msgs.append(msg)
 
 
 def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSeries:
@@ -145,12 +138,10 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
         raise ValueError("N must be >= 1")
     t = checked_delays(tau_bar_grid)
     two_C, xi, N = 2.0 * params.C, params.xi, params.N
-    warn_msgs = []
     regime, needs = _G2_PRECONDITIONS[variant]
     if needs == "xi = 1" and abs(xi - 1.0) > 1e-12:
         raise ValueError("impedance-matched forms require xi = 1")
-    if regime and (msg := regime_violation(params.C, X, regime)):
-        _warn(msg, warn_msgs)
+    notes = warn_regime(regime and regime_violation(params.C, X, regime))
     if needs == "X" and X is None:
         raise ValueError(f"{variant} requires X")
     if needs == "raw rates" and not params.has_rates:
@@ -188,19 +179,17 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
         vals = 1.0 - (two_C * two_C / (N * (1.0 + two_C))) * np.exp(-t) * (
             np.cos(root * t) + np.sin(root * t) / root)
     else:  # atomic-strong
-        if X * X >= N:
-            _warn(f"linearized strong-excitation form wants X^2 << N (X^2={X*X:g}, N={N})",
-                  warn_msgs)
+        notes += warn_regime(X * X >= N and f"linearized strong-excitation form "
+                             f"wants X^2 << N (X^2={X*X:g}, N={N})")
         pre = 2.0 * N * X * X / (N + X * X) ** 2
         om = np.sqrt(2.0) * X
         vals = 1.0 + pre * np.exp(-1.5 * t) * (
             np.cos(om * t) + _sin_over(om, t) * 0.5 / np.sqrt(2.0))
     vals = _real_checked(vals)
-    if np.any(vals < 0):
-        _warn(_NEGATIVE_G2, warn_msgs)
+    notes += warn_regime(np.any(vals < 0) and _NEGATIVE_G2)
     return CorrelationSeries(
         tau_bar=t, values=vals, variant=variant,
-        params=params_meta(params, X=X), warnings=tuple(warn_msgs),
+        params=params_meta(params, X=X), warnings=notes,
     )
 
 
@@ -224,12 +213,9 @@ def g2_numeric(params, X, tau_bar_grid) -> CorrelationSeries:
     norm = (p * p + c0[2].real / params.N) ** 2
     c = propagate(model.J.entries, t, c0)
     vals = 1.0 + (2.0 / params.N) * p * p * (c[:, 2] + c[:, 3]).real / norm
-    warn_msgs = []
-    if np.any(vals < 0):
-        _warn(_NEGATIVE_G2, warn_msgs)
     return CorrelationSeries(
-        tau_bar=t, values=vals, variant="numeric",
-        params=params_meta(params, X=X), warnings=tuple(warn_msgs),
+        tau_bar=t, values=vals, variant="numeric", params=params_meta(params, X=X),
+        warnings=warn_regime(np.any(vals < 0) and _NEGATIVE_G2),
     )
 
 

@@ -15,7 +15,6 @@ with c(0) the r-th row of the stationary covariance. linearize returns the
 LinearModel (J, C) of one operating point, whose resolve evaluates c_hat.
 """
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,12 +23,12 @@ import numpy as np
 from .lindyn import (
     IDX,
     FluctuationMatrix,
-    RegimeWarning,
     build_diffusion,
     build_jacobian,
     is_stable,
     regime_violation,
     saturation_factor,
+    warn_regime,
 )
 from .numerics import (
     TOL,
@@ -187,8 +186,7 @@ def weak_covariance_row(params, X) -> CorrelationVector:
     """
     if not 0 <= X < np.inf:
         raise ValueError("X must be finite and nonnegative")
-    if msg := regime_violation(params.C, X, "weak"):
-        warnings.warn(msg, RegimeWarning, stacklevel=2)
+    warn_regime(regime_violation(params.C, X, "weak"))
     two_C, xi = 2.0 * params.C, params.xi
     d1 = (1.0 + two_C) * (xi + 1.0)
     d2 = d1 * d1
@@ -211,8 +209,7 @@ def strong_covariance_closed(params, X):
     """
     if not 0 < X < np.inf:
         raise ValueError("X must be finite and positive")
-    if msg := regime_violation(params.C, X, "strong"):
-        warnings.warn(msg, RegimeWarning, stacklevel=2)
+    warn_regime(regime_violation(params.C, X, "strong"))
     two_C, xi = 2.0 * params.C, params.xi
     K = saturation_factor(X, xi)
     f = xi / (xi + 1.0)

@@ -17,6 +17,9 @@ ones -- and the negative sign is what produces the anomalous-correlation
 dominance (squeezing) on the lower branch. An indefinite diffusion is
 expected here; downstream code must treat it linear-algebraically and never
 attempt a factorization.
+
+Every limit form reports an operating point outside its regime through
+warn_regime, as a RegimeWarning note that never blocks the computation.
 """
 
 import cmath
@@ -35,6 +38,16 @@ IDX = {name: k for k, name in enumerate(BASIS)}
 
 class RegimeWarning(UserWarning):
     """Operating point is outside the regime a limit form was derived for."""
+
+
+def warn_regime(*notes) -> tuple:
+    """Issue each truthy note once as a RegimeWarning at the caller's caller;
+    falsy notes are skipped. Returns the issued notes in order, for results
+    that record them."""
+    issued = tuple(filter(None, notes))
+    for note in issued:
+        warnings.warn(note, RegimeWarning, stacklevel=3)
+    return issued
 
 
 @dataclass(frozen=True)
@@ -126,8 +139,7 @@ def build_jacobian(params, X, regime="full") -> FluctuationMatrix:
         raise ValueError("X must be finite and nonnegative")
     if regime not in ("full", "weak", "strong"):
         raise ValueError(f"unknown regime {regime!r}")
-    if regime != "full" and (msg := regime_violation(params.C, X, regime)):
-        warnings.warn(msg, RegimeWarning, stacklevel=2)
+    warn_regime(regime != "full" and regime_violation(params.C, X, regime))
     two_C, xi = 2.0 * params.C, params.xi
     s = 1.0 / (1.0 + X * X) if regime == "full" else 1.0
     J = np.array([

@@ -135,11 +135,11 @@ def params_from_dict(doc) -> SystemParams:
 
 
 def params_meta(params, **extra):
-    """Metadata of a result: C, xi and N (when params are given) plus every
-    extra key whose value is not None."""
-    meta = {} if params is None else {"C": params.C, "xi": params.xi, "N": params.N}
-    meta.update({k: v for k, v in extra.items() if v is not None})
-    return meta
+    """Metadata of a result: the fields of params, if given (C, xi, N, and the
+    raw rates and n_sc where set), plus every extra key; None values are
+    left out."""
+    meta = {} if params is None else vars(params)
+    return {k: v for k, v in {**meta, **extra}.items() if v is not None}
 
 
 def params_from_file(path) -> SystemParams:

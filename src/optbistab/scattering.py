@@ -8,12 +8,12 @@ channel converts the internal collective polarization into a weak output
 flux whose normalized spectrum is identical to the atomic one.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import CorrelationVector, linearize
+from .lindyn import warn_regime
 from .numerics import TOL
 from .params import params_meta
 from .spectra import SpectrumSeries, incoherent_anchor
@@ -21,12 +21,10 @@ from .spectra import SpectrumSeries, incoherent_anchor
 
 @dataclass(frozen=True)
 class ScatterGeometry:
-    """Atom positions (units of the resonant wavelength) and detection data."""
+    """Atom positions (units of the resonant wavelength) and the seed of the
+    random viewing directions."""
 
     positions: np.ndarray
-    direction: np.ndarray | None = None
-    theta: float = np.pi / 2.0
-    solid_angle: float = 1e-3
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -35,16 +33,6 @@ class ScatterGeometry:
             raise ValueError("positions must be an (N, 3) array")
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
-        if self.direction is not None:
-            d = np.asarray(self.direction, dtype=float)
-            if d.shape != (3,):
-                raise ValueError("direction must be a 3-vector")
-            if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-                raise ValueError("direction must be a unit vector")
-            d.flags.writeable = False
-            object.__setattr__(self, "direction", d)
-        if not (0.0 < self.solid_angle <= 4.0 * np.pi):
-            raise ValueError("solid angle must lie in (0, 4 pi]")
 
 
 @dataclass(frozen=True)
@@ -148,12 +136,8 @@ def phase_sum_monte_carlo(geometry: ScatterGeometry, trials) -> PhaseSumStatisti
         raise ValueError("trials must be >= 1")
     # pairwise-distance guard on a subsample; full O(N^2) only for small N
     d_min = _min_pairwise_distance(pos)
-    if d_min < 1.0:
-        warnings.warn(
-            f"minimum interatomic distance {d_min:.3g} wavelengths; the "
-            "random-phase assumption needs atoms far apart on that scale",
-            UserWarning, stacklevel=2,
-        )
+    warn_regime(d_min < 1.0 and f"minimum interatomic distance {d_min:.3g} wavelengths; "
+                "the random-phase assumption needs atoms far apart on that scale")
     values = np.empty(trials)
     for trial in range(trials):
         rng = np.random.default_rng([geometry.rng_seed, trial])
@@ -212,12 +196,8 @@ def auxiliary_channel_correlation(channel: AuxiliaryChannel,
     is not adiabatic or not weakly coupled.
     """
     flags = channel.validity_flags(params.g if params is not None and params.has_rates else None)
-    for name, ok in flags.items():
-        if not ok:
-            warnings.warn(
-                f"auxiliary channel violates the {name} condition",
-                UserWarning, stacklevel=2,
-            )
+    warn_regime(*(f"auxiliary channel violates the {name} condition"
+                  for name, ok in flags.items() if not ok))
     return channel.prefactor * atomic_correlator_value
 
 

@@ -15,14 +15,13 @@ verbatim published form, so it converges to the weak spectrum on its
 validity window |y| <= 2 xi with an O(xi) error.
 """
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .covariance import covariance_row, linearize
-from .lindyn import RegimeWarning, regime_violation, weak_scales
+from .lindyn import regime_violation, warn_regime, weak_scales
 from .numerics import TOL, ConditioningError
 from .params import params_meta
 
@@ -108,12 +107,12 @@ def _quadratic_roots(b, c):
 @dataclass(frozen=True)
 class ClosedForm:
     """One closed-form spectrum: values(y, params, X) = T(y), its kind
-    ("atomic" or "forward") and the inputs it reads ("params", "X"). guards
-    are (test, message) pairs, test(params, X) true outside the form's
-    regime; a None message stands for the test's own return, as from
-    lindyn.regime_violation. poles(params, X) are its denominator roots in
-    s = -iy, set only where the algebra carries exact unit area;
-    window(params) is the (lo, hi) range of y where the form holds, if any.
+    ("atomic" or "forward") and the inputs it reads ("params", "X"). Each
+    guard(params, X) returns the note of an operating point outside the
+    form's regime and a falsy value inside it, as lindyn.regime_violation
+    does. poles(params, X) are its denominator roots in s = -iy, set only
+    where the algebra carries exact unit area; window(params) is the
+    (lo, hi) range of y where the form holds, if any.
     """
 
     values: Callable
@@ -124,7 +123,7 @@ class ClosedForm:
     window: Callable | None = None
 
 
-_STRONG = (lambda p, X: p is not None and regime_violation(p.C, X, "strong"), None)
+_STRONG = lambda p, X: p is not None and regime_violation(p.C, X, "strong")
 
 # The good-cavity form is a local approximation with no finite area, and the
 # upper-forward bad-cavity form drops O(1/xi) prefactors and carries total
@@ -135,18 +134,18 @@ CLOSED_FORMS = {
         poles=lambda p, X: _quadratic_roots(1.0 + p.xi, p.xi * (1.0 + 2.0 * p.C))),
     "bad-cavity": ClosedForm(
         _bad_cavity, "atomic",
-        guards=((lambda p, X: p.xi <= 1.0 or p.xi <= 2.0 * p.C,
-                 "bad-cavity form wants xi >> 1 and xi >> 2C"),),
+        guards=(lambda p, X: (p.xi <= 1.0 or p.xi <= 2.0 * p.C)
+                and "bad-cavity form wants xi >> 1 and xi >> 2C",),
         poles=lambda p, X: [-(1.0 + 2.0 * p.C)]),
     "good-cavity": ClosedForm(
         _good_cavity, "atomic",
-        guards=((lambda p, X: p.xi >= 1.0 or p.xi >= 2.0 * p.C,
-                 "good-cavity form wants xi << 1 and xi << 2C"),),
+        guards=(lambda p, X: (p.xi >= 1.0 or p.xi >= 2.0 * p.C)
+                and "good-cavity form wants xi << 1 and xi << 2C",),
         window=lambda p: (-2.0 * p.xi, 2.0 * p.xi)),
     "strong-coupling": ClosedForm(
         _strong_coupling, "atomic",
-        guards=((lambda p, X: (p.xi + 1.0) >= 2.0 * np.sqrt(p.xi * 2.0 * p.C),
-                 "strong-coupling form wants (xi+1) << 2 sqrt(2 C xi)"),),
+        guards=(lambda p, X: (p.xi + 1.0) >= 2.0 * np.sqrt(p.xi * 2.0 * p.C)
+                and "strong-coupling form wants (xi+1) << 2 sqrt(2 C xi)",),
         poles=lambda p, X: (-0.5 * (p.xi + 1.0)
                             + 1j * np.sqrt(2.0 * p.C * p.xi) * np.array([1.0, -1.0]))),
     "upper-branch": ClosedForm(  # its shape depends on X alone
@@ -154,12 +153,12 @@ CLOSED_FORMS = {
         poles=lambda p, X: [-1.0, *_quadratic_roots(3.0, 2.0 + 2.0 * X * X)]),
     "upper-forward-lorentzian": ClosedForm(
         _upper_forward_lorentzian, "forward",
-        guards=(_STRONG, (lambda p, X: X is not None and X <= p.xi,
-                          "Lorentzian forward form wants X >> xi")),
+        guards=(_STRONG, lambda p, X: X is not None and X <= p.xi
+                and "Lorentzian forward form wants X >> xi"),
         poles=lambda p, X: [-p.xi, -1.0]),
     "upper-forward-bad-cavity": ClosedForm(
         _upper_forward_bad_cavity, "forward", needs=("params", "X"),
-        guards=(_STRONG, (lambda p, X: p.xi <= X, "bad-cavity forward form wants xi >> X"))),
+        guards=(_STRONG, lambda p, X: p.xi <= X and "bad-cavity forward form wants xi >> X")),
 }
 
 # views of the table by variant name
@@ -194,12 +193,10 @@ def spectrum_closed_form(variant, params=None, X=None, y_grid=None) -> SpectrumS
     _require_inputs(variant, params, X)
     form = CLOSED_FORMS[variant]
     # regime guards warn, never preconditions of the algebra
-    warn_msgs = tuple(msg or hit for test, msg in form.guards if (hit := test(params, X)))
-    for m in warn_msgs:
-        warnings.warn(m, RegimeWarning, stacklevel=2)
+    notes = warn_regime(*(guard(params, X) for guard in form.guards))
     return SpectrumSeries(
         y=y, values=form.values(y, params, X), kind=form.kind, method=variant,
-        params=params_meta(params, X=X), warnings=warn_msgs,
+        params=params_meta(params, X=X), warnings=notes,
         validity_window=form.window(params) if form.window else None,
     )
 
@@ -292,15 +289,13 @@ def squeezing_spectrum_atomic(params, X, y_grid) -> SpectrumSeries:
     if not np.isfinite(X):
         raise ValueError("X must be finite")
     y = np.asarray(y_grid, dtype=float)
-    warn_msgs = tuple(filter(None, [regime_violation(params.C, X, "weak")]))
-    for m in warn_msgs:
-        warnings.warn(m, RegimeWarning, stacklevel=2)
+    notes = warn_regime(regime_violation(params.C, X, "weak"))
     values = np.array(
         [anomalous_laplace("nu*nu*", params, X, -1j * yk).real for yk in y]
     )
     return SpectrumSeries(
         y=y, values=values, kind="squeezing", method="anomalous-laplace",
-        params=params_meta(params, X=X), warnings=warn_msgs,
+        params=params_meta(params, X=X), warnings=notes,
     )
 
 

@@ -340,6 +340,18 @@ class TestG2Command:
                        "--out", str(tmp_path / "g")])
         assert rc == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rate_run_records_its_rates(self, tmp_path, fmt):
+        rc = cli.main(["g2", "--variant", "atomic-weak-recast", "--g-mhz", "1.06",
+                       "--kappa-mhz", "0.88", "--gamma-mhz", "10", "--N", "310",
+                       "--format", fmt, "--out", str(tmp_path / "g")])
+        assert rc == 0
+        path = tmp_path / f"g.{fmt}"
+        meta = json.loads(path.read_text())["meta"] if fmt == "json" else {
+            k: float(v) for k, v in read_csv(path)[0].items() if k not in ("tool", "variant")}
+        want = dataclasses.asdict(from_raw_rates(1.06, 0.88, 10.0, 310, unit="MHz"))
+        assert {k: meta[k] for k in want} == want
+
 
 class TestWarningsOnStderr:
     def test_repro_prints_each_warning_once(self, tmp_path):
@@ -442,6 +454,25 @@ class TestScatterCommand:
         text = (tmp_path / "unset.csv").read_text()
         assert "# cube_side_lambda=50\n" in text
         assert text == (tmp_path / "given.csv").read_text()
+
+    def test_unset_flags_write_their_defaults(self, tmp_path):
+        runs = {
+            "flux": (["scatter", "--C", "5", "--xi", "1", "--X", "1"],
+                     ["--theta", "1.5707963267948966", "--solid-angle", "1e-3"],
+                     ["# theta=1.5707963267948966\n", "# solid_angle=0.001\n"]),
+            "phase": (["scatter", "--phase-sum", "--N", "10"], ["--trials", "1000"],
+                      ["# trials=1000\n"]),
+            "spectrum": (["spectrum", "--method", "weak-closed", "--C", "5", "--xi", "1"],
+                         ["--ymax", "30", "--points", "2001"], ["\n30,"]),
+            "g2": (["g2", "--variant", "atomic-weak", "--C", "5", "--xi", "1", "--N", "100",
+                    "--X", "0.01"], ["--taumax", "6", "--points", "1201"], ["\n6,"]),
+        }
+        for name, (argv, defaults, lines) in runs.items():
+            for tag, flags in (("unset", []), ("given", defaults)):
+                assert cli.main(argv + flags + ["--out", str(tmp_path / f"{name}_{tag}")]) == 0
+            text = (tmp_path / f"{name}_unset.csv").read_text()
+            assert text == (tmp_path / f"{name}_given.csv").read_text(), name
+            assert all(line in text for line in lines), name
 
     def test_flux_csv(self, tmp_path):
         out = tmp_path / "flux"
@@ -619,6 +650,36 @@ class TestExitCodes:
         rc = cli.main(argv + ["--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"takes no {flag}\n" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (["spectrum", "--preset", "fig1c", "--ymax", "5", "--points", "11"],
+         "--preset fig1c takes no --ymax"),
+        (["spectrum", "--preset", "fig1c", "--points", "11"], "--preset fig1c takes no --points"),
+        (["g2", "--preset", "fig2a", "--taumax", "1", "--points", "5"],
+         "--preset fig2a takes no --points"),
+        (["g2", "--preset", "fig2a", "--taumax", "1"], "--preset fig2a takes no --taumax"),
+        (["scatter", "--C", "5", "--xi", "1", "--X", "1", "--cube", "7", "--trials", "3",
+          "--geometry", "nofile.json"], "scatter flux takes no --geometry"),
+        (["scatter", "--C", "5", "--xi", "1", "--X", "1", "--cube", "7"],
+         "scatter flux takes no --cube"),
+        (["scatter", "--C", "5", "--xi", "1", "--X", "1", "--trials", "3"],
+         "scatter flux takes no --trials"),
+        (["scatter", "--phase-sum", "--N", "10", "--C", "5", "--xi", "1", "--X", "3",
+          "--theta", "0.1"], "scatter --phase-sum takes no --C"),
+        (["scatter", "--phase-sum", "--N", "10", "--X", "3"],
+         "scatter --phase-sum takes no --X"),
+        (["scatter", "--phase-sum", "--N", "10", "--theta", "0.1"],
+         "scatter --phase-sum takes no --theta"),
+        (["scatter", "--phase-sum", "--N", "10", "--solid-angle", "0.1"],
+         "scatter --phase-sum takes no --solid-angle"),
+        (["scatter", "--phase-sum", "--N", "10", "--g-mhz", "1"],
+         "scatter --phase-sum takes no --g-mhz"),
+    ])
+    def test_run_refuses_the_flags_it_ignores(self, tmp_path, capsys, argv, refusal):
+        rc = cli.main(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"usage error: {refusal}\n"
         assert not list(tmp_path.iterdir())
 
     def test_unknown_preset_rejected(self):

@@ -1,5 +1,6 @@
 """Drift/diffusion construction and derived spectral scales."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from optbistab.lindyn import (
     is_stable,
     regime_violation,
     saturation_factor,
+    warn_regime,
     weak_scales,
 )
 from optbistab.params import SystemParams, from_raw_rates
@@ -186,6 +188,28 @@ class TestRegimeGuard:
         assert quadrature_variances(p, 0.099).method == "weak-closed"
         assert quadrature_variances(p, 0.1).method == "lyapunov"
         assert quadrature_variances(p, 10.0).method == "lyapunov"
+
+
+def _notes_from_a_caller(*notes):
+    return warn_regime(*notes)
+
+
+class TestWarnRegime:
+    def test_issues_truthy_notes_once_and_returns_them_in_order(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            issued = warn_regime(None, "first note", False, "", "second note", np.False_)
+            assert warn_regime() == warn_regime(None, False) == ()
+        assert issued == ("first note", "second note")
+        assert [str(w.message) for w in caught] == ["first note", "second note"]
+        assert all(w.category is RegimeWarning for w in caught)
+
+    def test_points_at_the_callers_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            _notes_from_a_caller("note")
+        assert (caught[0].filename, caught[0].lineno) == (__file__, line)
 
 
 class TestDiffusion:

@@ -1,8 +1,11 @@
 """Side flux, random-phase Monte Carlo, auxiliary emission channel."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from optbistab.lindyn import RegimeWarning
 from optbistab.params import SystemParams, from_raw_rates
 from optbistab.scattering import (
     AuxiliaryChannel,
@@ -103,6 +106,11 @@ class TestPhaseSum:
         with pytest.warns(UserWarning, match="wavelength"):
             phase_sum_monte_carlo(geom, 4)
 
+    def test_close_atoms_note_is_a_regime_warning(self):
+        geom = ScatterGeometry(positions=[[0, 0, 0], [0.5, 0, 0], [0, 20, 0]])
+        with pytest.warns(RegimeWarning, match="minimum interatomic distance 0.5"):
+            phase_sum_monte_carlo(geom, 4)
+
     def test_single_atom_rejected(self):
         geom = ScatterGeometry(positions=np.zeros((1, 3)), rng_seed=0)
         with pytest.raises(ValueError):
@@ -124,11 +132,10 @@ class TestPhaseSum:
         assert a.mean_abs == b.mean_abs
 
     def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            ScatterGeometry(positions=np.zeros((2, 3)),
-                            direction=np.array([1.0, 1.0, 0.0]))
-        with pytest.raises(ValueError):
-            ScatterGeometry(positions=np.zeros((2, 3)), solid_angle=20.0)
+        for shape in ((3,), (2, 2), (2, 3, 1)):
+            with pytest.raises(ValueError, match=r"\(N, 3\) array"):
+                ScatterGeometry(positions=np.zeros(shape))
+        assert ScatterGeometry(positions=[[0, 0, 0], [1, 2, 3]]).positions.shape == (2, 3)
 
 
 class TestAuxiliaryChannel:
@@ -149,6 +156,16 @@ class TestAuxiliaryChannel:
         strong = AuxiliaryChannel(g_aux=10.0, kappa_aux=110.0)
         with pytest.warns(UserWarning, match="weak_coupling"):
             auxiliary_channel_correlation(strong, 1.0, params=p)
+
+    def test_validity_notes_are_regime_warnings(self):
+        p = from_raw_rates(1.0, 1.0, 1.0, 10)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            auxiliary_channel_correlation(AuxiliaryChannel(g_aux=10.0, kappa_aux=20.0),
+                                          1.0, params=p)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RegimeWarning, "auxiliary channel violates the adiabatic condition"),
+            (RegimeWarning, "auxiliary channel violates the weak_coupling condition")]
 
     def test_normalized_spectrum_identical_to_atomic(self, p51):
         grid = np.linspace(-25.0, 25.0, 301)

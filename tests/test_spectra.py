@@ -14,6 +14,7 @@ from optbistab.lindyn import RegimeWarning, saturation_factor
 from optbistab.numerics import ConditioningError
 from optbistab.params import SystemParams
 from optbistab.spectra import (
+    CLOSED_FORMS,
     UNIT_AREA_VARIANTS,
     anomalous_laplace,
     area_breakpoints,
@@ -206,6 +207,20 @@ class TestClosedForms:
     def test_unknown_variant_rejected(self, p51):
         with pytest.raises(ValueError):
             spectrum_closed_form("mollow", p51, y_grid=np.array([0.0]))
+
+    @pytest.mark.parametrize("variant", CLOSED_FORMS)
+    @pytest.mark.parametrize("C, xi, X", [(5.0, 1.0, 0.01), (5.0, 500.0, 20.0),
+                                          (5.0, 0.01, 3.0), (200.0, 1.0, 0.1)])
+    def test_series_records_each_guard_note(self, variant, C, xi, X):
+        p, form = SystemParams(C=C, xi=xi, N=10), CLOSED_FORMS[variant]
+        hits = [guard(p, X) for guard in form.guards]
+        assert all(isinstance(hit, str) or not hit for hit in hits)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            s = spectrum_closed_form(variant, p, X=X, y_grid=np.array([0.0]))
+        assert s.warnings == tuple(hit for hit in hits if hit)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RegimeWarning, hit) for hit in s.warnings]
 
 
 UNIT_AREA_CASES = [
