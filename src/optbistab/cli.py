@@ -211,6 +211,8 @@ def cmd_spectrum(args):
     # a shape that depends only on X runs without params
     no_params = form and "params" not in form.needs and not any(_param_sources(args))
     params = None if no_params else resolve_params(args)
+    if args.X is not None:
+        _refuse(args, ("Y", "branch"), "spectrum --X")
     if args.branch == "unstable-middle":
         raise UnstableDriftError("linearization invalid on the unstable branch")
     ymax = 30.0 if args.ymax is None else args.ymax

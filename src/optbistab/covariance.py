@@ -90,8 +90,10 @@ _LYAPUNOV_TERMS = np.array([
 def solve_lyapunov(J: FluctuationMatrix, D: FluctuationMatrix) -> FluctuationMatrix:
     """Stationary covariance from J C + C J^T = -D.
 
-    Requires a stable drift. Solved via the 15-unknown symmetric system;
-    the residual is verified against TOL.lyapunov_residual_rel.
+    Requires a stable drift. Solved via the 15-unknown symmetric system; the
+    one guard is solve_complex_linear's residual bound, which for this system
+    (inf-norm 2 ||J||_inf) is the backward-error bound
+    max|J C + C J^T + D| <= TOL.linear_residual_rel (2 ||J||_inf max|C| + max|D|).
     """
     if J.kind != "jacobian" or D.kind != "diffusion":
         raise ValueError("solve_lyapunov expects (jacobian, diffusion)")
@@ -112,12 +114,6 @@ def solve_lyapunov(J: FluctuationMatrix, D: FluctuationMatrix) -> FluctuationMat
         ) from exc
     C = np.zeros((5, 5))
     C[_TRI_PAIRS] = C[_TRI_PAIRS[::-1]] = x.real
-    resid = np.max(np.abs(A @ C + C @ A.T + B))
-    bound = TOL.lyapunov_residual_rel * max(1.0, np.max(np.abs(B)))
-    if resid > bound:
-        raise ConditioningError(
-            f"stationary covariance residual {resid:.3e} exceeds {bound:.3e}"
-        )
     return FluctuationMatrix(C, kind="covariance")
 
 

@@ -26,7 +26,6 @@ class Tolerances:
     linear_residual_rel: float = 1e-10
     expm_cond_max: float = 1e8         # eigenvector condition before fallback
     resolvent_pole_gap: float = 1e-9   # distance of s to a drift eigenvalue
-    lyapunov_residual_rel: float = 1e-10
     stability_margin: float = 1e-12    # eigenvalue real parts must be below -this
     imag_truncate: float = 1e-12
     turning_label_rel: float = 1e-6

@@ -592,6 +592,17 @@ class TestExitCodes:
                        "--out", str(tmp_path / "c")])
         assert rc == 3
 
+    def test_refused_covariance_maps_to_three(self, tmp_path, capsys):
+        # a solve off by a relative 1e-6 fails the covariance's residual guard
+        solve = np.linalg.solve
+        with mock.patch.object(np.linalg, "solve",
+                               lambda A, b: (1.0 + 1e-6) * solve(A, b)):
+            rc = cli.main(["spectrum", "--method", "numeric", "--C", "5", "--xi", "1",
+                           "--X", "0.01", "--out", str(tmp_path / "s")])
+        assert rc == 3
+        assert "numerical failure: linear solve residual" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["squeeze", "--C", "5", "--xi", "1", "--X", "nan"],
         ["scatter", "--C", "5", "--xi", "1", "--X", "nan"],
@@ -675,6 +686,12 @@ class TestExitCodes:
          "scatter --phase-sum takes no --solid-angle"),
         (["scatter", "--phase-sum", "--N", "10", "--g-mhz", "1"],
          "scatter --phase-sum takes no --g-mhz"),
+        (["spectrum", "--method", "numeric", "--C", "5", "--xi", "1", "--X", "0.01",
+          "--Y", "6", "--branch", "upper"], "spectrum --X takes no --Y"),
+        (["spectrum", "--method", "numeric", "--C", "5", "--xi", "1", "--X", "0.01",
+          "--branch", "upper"], "spectrum --X takes no --branch"),
+        (["spectrum", "--method", "weak-closed", "--C", "5", "--xi", "1", "--X", "3",
+          "--Y", "6"], "spectrum --X takes no --Y"),
     ])
     def test_run_refuses_the_flags_it_ignores(self, tmp_path, capsys, argv, refusal):
         rc = cli.main(argv + ["--out", str(tmp_path / "o")])

@@ -49,6 +49,23 @@ from optbistab.params import SystemParams
 from optbistab.steady_state import turning_points
 
 
+# (C, xi, X) in the bad-cavity and collective strong-coupling corners: there
+# max|J C + C J^T + D| is 1e-8 to 5e-6, far above 1e-10 max|D|, at a backward
+# error far below scipy's
+STIFF_POINTS = [
+    (10**1.5, 1e4, 10.0),
+    (10**2.75, 1e4, 100.0),
+    (10**3.375, 10**0.5, 100.0),
+]
+
+
+def backward_error(J, C, D):
+    """||J C + C J^T + D|| / (2 ||J|| ||C|| + ||D||), 1-norms."""
+    def norm(M):
+        return np.linalg.norm(M, 1)
+    return norm(J @ C + C @ J.T + D) / (2.0 * norm(J) * norm(C) + norm(D))
+
+
 def resolvent_component(J, c0, s_bar, comp):
     """Component comp of (s_bar I - J)^{-1} c0 at every point of s_bar, from
     one eigendecomposition of J, as the numeric spectrum routes build it."""
@@ -114,6 +131,24 @@ class TestSolveLyapunov:
         _, J, D = weak_point
         with pytest.raises(ValueError):
             solve_lyapunov(D, D)
+
+    @pytest.mark.parametrize("C, xi, X", STIFF_POINTS)
+    def test_stiff_points_solve_to_backward_error(self, C, xi, X):
+        J, D = full_system(SystemParams(C=C, xi=xi, N=1), X)
+        ours = solve_lyapunov(J, D).entries
+        ref = oracle_covariance_scipy(J.entries, D.entries)
+        assert (backward_error(J.entries, ours, D.entries)
+                <= backward_error(J.entries, ref, D.entries))
+        assert np.linalg.norm(ours - ref, 1) <= 1e-9 * np.linalg.norm(ref, 1)
+
+    def test_residual_guard_refuses_an_inaccurate_solve(self, weak_point):
+        # a solve off by a relative 1e-6 fails the residual guard
+        _, J, D = weak_point
+        solve = np.linalg.solve
+        with mock.patch.object(np.linalg, "solve",
+                               lambda A, b: (1.0 + 1e-6) * solve(A, b)):
+            with pytest.raises(ConditioningError, match="linear solve residual"):
+                solve_lyapunov(J, D)
 
 
 class TestWeakClosedForms:
