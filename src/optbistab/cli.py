@@ -213,6 +213,10 @@ def cmd_spectrum(args):
     params = None if no_params else resolve_params(args)
     if args.X is not None:
         _refuse(args, ("Y", "branch"), "spectrum --X")
+    if form and "X" not in form.needs:
+        # only a form that needs X reads the drive; one that reads no X refuses it
+        unread = ("Y", "branch") if "X" in form.optional else ("X", "Y", "branch")
+        _refuse(args, unread, f"spectrum --method {method}")
     if args.branch == "unstable-middle":
         raise UnstableDriftError("linearization invalid on the unstable branch")
     ymax = 30.0 if args.ymax is None else args.ymax
@@ -251,6 +255,10 @@ def cmd_g2(args):
     variant = args.variant or "numeric"
     if variant in correlations.G2_X_VARIANTS and args.X is None:
         raise UsageError(f"g2 --variant {variant} needs --X")
+    if variant not in correlations.G2_X_VARIANTS \
+            and correlations._G2_PRECONDITIONS[variant][0] is None:
+        # neither the values nor a regime guard of this form read X
+        _refuse(args, ("X",), f"g2 --variant {variant}")
     if variant == "numeric":
         series = correlations.g2_numeric(params, args.X, grid)
     else:

@@ -4,16 +4,17 @@ Everything here operates on matrices of dimension <= 16 (the physics needs
 5x5) and is deterministic: identical inputs give identical outputs. The
 kernels are thin, checked wrappers around LAPACK via numpy. `eigenbasis` is
 the one eigendecomposition; `propagate`, the one route to exp(A t) b, needs
-one. `matrix_exponential`, the fixed-step RK4 `integrate_ode` and the
-composite trapezoid `quadrature` have no caller in the package: they remain
-only because the benchmark's layer tracer (`bench/recorder.py`) looks them
-up by name.
+one. scipy is loaded only on `propagate`'s first Pade fallback (a defective
+or ill-conditioned drift), so importing the package does not pull it in.
+`matrix_exponential`, the fixed-step RK4 `integrate_ode` and the composite
+trapezoid `quadrature` have no caller in the package: they remain only
+because the benchmark's layer tracer (`bench/recorder.py`) looks them up by
+name.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as _expm_pade
 
 MAX_DIM = 16
 
@@ -123,6 +124,13 @@ def eigenbasis(A):
     except np.linalg.LinAlgError:
         pass
     return w, None, None
+
+
+def _expm_pade(A):
+    """scipy's scaling-and-squaring exp(A); scipy is imported on first use."""
+    from scipy.linalg import expm
+
+    return expm(A)
 
 
 def propagate(A, times, b):

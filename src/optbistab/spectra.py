@@ -107,7 +107,8 @@ def _quadratic_roots(b, c):
 @dataclass(frozen=True)
 class ClosedForm:
     """One closed-form spectrum: values(y, params, X) = T(y), its kind
-    ("atomic" or "forward") and the inputs it reads ("params", "X"). Each
+    ("atomic" or "forward"), the inputs it needs ("params", "X") and those
+    only its guards read, which a call may leave out (optional). Each
     guard(params, X) returns the note of an operating point outside the
     form's regime and a falsy value inside it, as lindyn.regime_violation
     does. poles(params, X) are its denominator roots in s = -iy, set only
@@ -118,6 +119,7 @@ class ClosedForm:
     values: Callable
     kind: str
     needs: tuple = ("params",)
+    optional: tuple = ()
     guards: tuple = ()
     poles: Callable | None = None
     window: Callable | None = None
@@ -152,7 +154,7 @@ CLOSED_FORMS = {
         _upper_branch, "atomic", needs=("X",), guards=(_STRONG,),
         poles=lambda p, X: [-1.0, *_quadratic_roots(3.0, 2.0 + 2.0 * X * X)]),
     "upper-forward-lorentzian": ClosedForm(
-        _upper_forward_lorentzian, "forward",
+        _upper_forward_lorentzian, "forward", optional=("X",),
         guards=(_STRONG, lambda p, X: X is not None and X <= p.xi
                 and "Lorentzian forward form wants X >> xi"),
         poles=lambda p, X: [-p.xi, -1.0]),

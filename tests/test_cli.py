@@ -692,12 +692,34 @@ class TestExitCodes:
           "--branch", "upper"], "spectrum --X takes no --branch"),
         (["spectrum", "--method", "weak-closed", "--C", "5", "--xi", "1", "--X", "3",
           "--Y", "6"], "spectrum --X takes no --Y"),
+        *((["spectrum", "--method", method, "--C", "5", "--xi", "1", "--X", "3"],
+           f"spectrum --method {method} takes no --X")
+          for method in ("weak-closed", "bad-cavity", "good-cavity", "strong-coupling")),
+        (["spectrum", "--method", "bad-cavity", "--C", "5", "--xi", "500", "--Y", "6",
+          "--branch", "upper"], "spectrum --method bad-cavity takes no --Y"),
+        (["spectrum", "--method", "upper-forward-lorentzian", "--C", "5", "--xi", "1",
+          "--Y", "30"], "spectrum --method upper-forward-lorentzian takes no --Y"),
+        *((["g2", "--variant", variant, "--C", "5", "--xi", "1", "--N", "100", "--X", "7"],
+           f"g2 --variant {variant} takes no --X")
+          for variant in ("atomic-impedance", "forward-impedance")),
     ])
     def test_run_refuses_the_flags_it_ignores(self, tmp_path, capsys, argv, refusal):
         rc = cli.main(argv + ["--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"usage error: {refusal}\n"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--method", "upper-forward-lorentzian", "--C", "5", "--xi", "1",
+         "--X", "30"],
+        *(["g2", "--variant", variant, "--C", "5", "--xi", "1", "--N", "100", "--X", "0.01"]
+          for variant in ("atomic-weak", "forward-weak", "single-atom-pure-state")),
+    ])
+    def test_form_whose_guards_read_X_takes_it(self, tmp_path, argv):
+        # these forms' values read no X, but a regime guard does
+        assert cli.main(argv + ["--points", "11", "--out", str(tmp_path / "o")]) == 0
+        meta, _, _ = read_csv(tmp_path / "o.csv")
+        assert float(meta["X"]) == float(argv[-1])
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(SystemExit) as err:
