@@ -76,7 +76,7 @@ def resolve_params(args, need_N=False):
     if sources > 1:
         raise UsageError("choose exactly one parameter source")
     if args.params:
-        return params_mod.params_from_file(args.params)
+        return _load_file("params", args.params, params_mod.params_from_file)
     if inline_rates:
         if args.N is None or args.g_mhz is None \
                 or args.kappa_mhz is None or args.gamma_mhz is None:
@@ -91,6 +91,17 @@ def resolve_params(args, need_N=False):
             raise UsageError("this command needs --N")
         return params_mod.SystemParams(C=args.C, xi=args.xi, N=1)
     return params_mod.SystemParams(C=args.C, xi=args.xi, N=args.N)
+
+
+def _load_file(flag, path, load):
+    """load(path), with a missing, unreadable or malformed file a usage error
+    naming it; a params file with the wrong keys stays a parameter error."""
+    try:
+        return load(path)
+    except ParameterError:
+        raise
+    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise UsageError(f"--{flag} file {path!r}: {exc}") from None
 
 
 def _refuse(args, flags, run):
@@ -198,7 +209,15 @@ def _pick_operating_point(params, args):
         return matches[0].X
     if not stable:
         raise UnstableDriftError("linearization invalid on the unstable branch")
-    return points[0].X
+    X, tp = points[0].X, steady_state.turning_points(params.C)
+    if args.branch is not None and not tp.exists:
+        raise UsageError(f"C={params.C:g} is not bistable: drop --branch")
+    # one root lies on the lower side below X_minus, on the upper above X_plus
+    side = tp.exists and ("lower" if X < tp.X_minus else "upper")
+    if args.branch not in (None, side):
+        raise UsageError(f"the one root at Y={args.Y:g} (X={X:g}) is on the "
+                         f"{side} side, not --branch {args.branch}")
+    return X
 
 
 def cmd_spectrum(args):
@@ -282,7 +301,10 @@ def cmd_scatter(args):
         if args.geometry is not None:
             if args.N is not None or args.cube is not None:
                 raise UsageError("--geometry gives the positions: drop --N and --cube")
-            geom = scattering.load_geometry(args.geometry, rng_seed=args.seed)
+            geom = _load_file("geometry", args.geometry,
+                              lambda path: scattering.load_geometry(path, args.seed))
+            if len(geom.positions) < 2:
+                raise UsageError(f"--geometry file {args.geometry!r}: one atom, needs 2")
             source = {"geometry_file": args.geometry, "N": len(geom.positions)}
         else:
             if args.N is None or args.N < 2:

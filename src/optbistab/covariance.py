@@ -75,16 +75,21 @@ class CorrelationVector:
 
 _TRI = [(i, j) for i in range(5) for j in range(i, 5)]
 _TRI_INDEX = {ij: k for k, ij in enumerate(_TRI)}
-_TRI_PAIRS = tuple(np.array(_TRI).T)
-# Every term of the 15-unknown operator C -> J C + C J^T on symmetric C, as
-# (row, column, i, k): J[i, k] is added at M[row, column]. No entry of M
-# gets more than two terms, so the sum is exact in any order.
-_LYAPUNOV_TERMS = np.array([
+_UPPER = np.array([5 * i + j for i, j in _TRI])  # flat (i, j) of each unknown
+# the unknowns x of a symmetric C give C.ravel() as x[_SYMMETRIC]
+_SYMMETRIC = np.array([_TRI_INDEX[(min(i, j), max(i, j))] for i in range(5) for j in range(5)])
+# The 15-unknown operator C -> J C + C J^T on symmetric C as one product,
+# M = (_LYAPUNOV_OPERATOR @ J.ravel()).reshape(15, 15): each term adds J[i, k]
+# at M[row, column]. No entry of M gets more than two terms (a diagonal one
+# the same term twice, hence the entries 0, 1 and 2), so the product rounds
+# as the term-by-term sum does.
+_LYAPUNOV_OPERATOR = np.zeros((225, 25))
+np.add.at(_LYAPUNOV_OPERATOR, tuple(np.array([
     term
     for (i, j), row in _TRI_INDEX.items() for k in range(5)
-    for term in ((row, _TRI_INDEX[(min(k, j), max(k, j))], i, k),
-                 (row, _TRI_INDEX[(min(i, k), max(i, k))], j, k))
-]).T
+    for term in ((15 * row + _TRI_INDEX[(min(k, j), max(k, j))], 5 * i + k),
+                 (15 * row + _TRI_INDEX[(min(i, k), max(i, k))], 5 * j + k))
+]).T), 1.0)
 
 
 def solve_lyapunov(J: FluctuationMatrix, D: FluctuationMatrix) -> FluctuationMatrix:
@@ -99,12 +104,8 @@ def solve_lyapunov(J: FluctuationMatrix, D: FluctuationMatrix) -> FluctuationMat
         raise ValueError("solve_lyapunov expects (jacobian, diffusion)")
     if not is_stable(J):
         raise UnstableDriftError("Lyapunov solve requires stable drift")
-    A = J.entries
-    B = D.entries
-    rows, cols, i, k = _LYAPUNOV_TERMS
-    M = np.zeros((15, 15))
-    np.add.at(M, (rows, cols), A[i, k])
-    rhs = -B[_TRI_PAIRS]
+    M = (_LYAPUNOV_OPERATOR @ J.entries.ravel()).reshape(15, 15)
+    rhs = -D.entries.ravel()[_UPPER]
     try:
         x = solve_complex_linear(M, rhs)
     except SingularMatrixError as exc:
@@ -112,9 +113,7 @@ def solve_lyapunov(J: FluctuationMatrix, D: FluctuationMatrix) -> FluctuationMat
             f"stationary covariance system is singular: {exc}",
             condition=exc.condition,
         ) from exc
-    C = np.zeros((5, 5))
-    C[_TRI_PAIRS] = C[_TRI_PAIRS[::-1]] = x.real
-    return FluctuationMatrix(C, kind="covariance")
+    return FluctuationMatrix(x.real[_SYMMETRIC].reshape(5, 5), kind="covariance")
 
 
 @dataclass(frozen=True)
@@ -278,69 +277,29 @@ def _eigenbasis_bound(A, eig):
     return sv[0] / sv[-1], r
 
 
-def _uncertified(w, certificate, s, floor):
-    """Indices of the points s whose singular-value floor the bound cannot clear.
-
-    A point is certified when the eigenbasis lower bound on sigma_min(s I - J)
-    exceeds twice its floor, the factor 2 covering rounding in the condition
-    number and the gap.
-    """
-    if certificate is None:
-        return np.arange(s.size)
-    kappa, r = certificate
-    lower = np.min(np.abs(w[None, :] - s[:, None]), axis=1) / kappa - r
-    return np.flatnonzero(~(lower > 2.0 * floor))
-
-
 def _resolve_block(J, w, certificate, b, s):
     """Solve (s_k I - J) x_k = b for one block of points s, as an (m, 5) array.
 
-    Runs the checks of a point-by-point laplace_correlation_vector loop on the
-    whole block at once: the pole gap against the drift eigenvalues w, then
-    the singular-value test and residual bound of solve_complex_linear. The
-    stacked SVD of the singular-value test runs only on the points the
-    eigenbasis bound, the certificate, cannot clear (all of them when it is
-    None); the verdict is the same. An error names the first point that fails, with the
-    type that loop would raise.
+    numerics.solve_complex_linear checks the points before the first within
+    TOL.resolvent_pole_gap of a drift eigenvalue w, then that point raises.
+    The eigenbasis bound, the certificate (None proves nothing), gives it lower
+    bounds on sigma_min(s I - J). An error names the first point that fails,
+    with the type a point-by-point laplace_correlation_vector loop would raise.
     """
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(b))):
         raise ValueError("resolvent inputs contain NaN/Inf entries")
     gaps = np.min(np.abs(w[None, :] - s[:, None]), axis=1)
-    A = s[:, None, None] * np.eye(5, dtype=complex) - J
-    norm_A = np.abs(A).sum(axis=2).max(axis=1)
-    floor = TOL.singular_rel * np.maximum(norm_A, 1e-300)
-    unsure = _uncertified(w, certificate, s, floor)
-    singular = np.zeros(s.size, dtype=bool)
-    if unsure.size:
-        sv_min = np.linalg.svd(A[unsure], compute_uv=False)[:, -1]
-        singular[unsure] = sv_min <= floor[unsure]
-    near_pole = gaps < TOL.resolvent_pole_gap
-    bad = np.flatnonzero(near_pole | singular)
-    m = bad[0] if bad.size else s.size
-    x = np.linalg.solve(A[:m], b[:, None])[..., 0]
-    resid = np.max(np.abs(A[:m] @ x[..., None] - b[:, None]), axis=(1, 2))
-    bound = TOL.linear_residual_rel * (
-        norm_A[:m] * np.max(np.abs(x), axis=1) + np.max(np.abs(b))
-    )
-    failed = np.flatnonzero(resid > np.maximum(bound, 1e-300))
-    if failed.size:
-        k = failed[0]
-        cond = np.linalg.cond(A[k])
+    near_pole = np.flatnonzero(gaps < TOL.resolvent_pole_gap)
+    m = near_pole[0] if near_pole.size else s.size
+    lower = None if certificate is None else gaps[:m] / certificate[0] - certificate[1]
+    try:
+        x = solve_complex_linear(s[:m, None, None] * np.eye(5, dtype=complex) - J, b, lower)
+    except (SingularMatrixError, ConditioningError) as exc:
+        raise type(exc)(f"resolvent at s_bar={s[exc.index]:g} fails: {exc}",
+                        condition=exc.condition) from exc
+    if m < s.size:
         raise ConditioningError(
-            f"linear solve residual {resid[k]:.3e} exceeds bound {bound[k]:.3e} "
-            f"at s_bar={s[k]:g} (condition ~ {cond:.3e})",
-            condition=cond,
-        )
-    if bad.size:
-        if near_pole[m]:
-            raise ConditioningError(
-                f"s_bar={s[m]:g} is within {gaps[m]:.3e} of a drift eigenvalue"
-            )
-        cond = np.linalg.cond(A[m])
-        raise SingularMatrixError(
-            f"resolvent at s_bar={s[m]:g} is numerically singular "
-            f"(condition ~ {cond:.3e})",
-            condition=cond,
+            f"s_bar={s[m]:g} is within {gaps[m]:.3e} of a drift eigenvalue"
         )
     return x
 

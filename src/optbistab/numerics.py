@@ -2,10 +2,13 @@
 
 Everything here operates on matrices of dimension <= 16 (the physics needs
 5x5) and is deterministic: identical inputs give identical outputs. The
-kernels are thin, checked wrappers around LAPACK via numpy. `eigenbasis` is
-the one eigendecomposition; `propagate`, the one route to exp(A t) b, needs
-one. scipy is loaded only on `propagate`'s first Pade fallback (a defective
-or ill-conditioned drift), so importing the package does not pull it in.
+kernels are thin, checked wrappers around LAPACK via numpy.
+`solve_complex_linear` is the one checked solve (floor, residual bound, first
+failure) of the covariance and the resolvent, which adds its pole gap and
+eigenbasis bounds. `eigenbasis` is the one eigendecomposition; `propagate`,
+the one route to exp(A t) b, needs one. scipy is loaded only on `propagate`'s
+first Pade fallback (a defective or ill-conditioned drift), so importing the
+package does not pull it in.
 `matrix_exponential`, the fixed-step RK4 `integrate_ode` and the composite
 trapezoid `quadrature` have no caller in the package: they remain only
 because the benchmark's layer tracer (`bench/recorder.py`) looks them up by
@@ -40,19 +43,20 @@ TOL = Tolerances()
 
 
 class NumericsError(Exception):
-    """Base class for numerical kernel failures."""
+    """Base class for numerical kernel failures: a refused solve carries its
+    condition estimate and, in a stack, the index of the failing matrix."""
+
+    def __init__(self, message, condition=None, index=None):
+        super().__init__(message)
+        self.condition, self.index = condition, index
 
 
 class SingularMatrixError(NumericsError):
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
+    pass
 
 
 class ConditioningError(NumericsError):
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
+    pass
 
 
 class DivergenceError(NumericsError):
@@ -61,52 +65,64 @@ class DivergenceError(NumericsError):
         self.step = step
 
 
-def _check_matrix(A):
+def _check_matrix(A, ndims=(2,)):
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim not in ndims or A.shape[-1] != A.shape[-2]:
         raise ValueError("expected a square matrix")
-    if A.shape[0] > MAX_DIM:
+    if A.shape[-1] > MAX_DIM:
         raise ValueError(f"dense kernels are capped at n={MAX_DIM}")
     if not np.isfinite(A).all():
         raise ValueError("matrix contains NaN/Inf entries")
     return A
 
 
-def solve_complex_linear(A, b):
-    """Solve A x = b for a small dense (complex) system.
+def solve_complex_linear(A, b, lower=None):
+    """Solve A x = b for a small dense (complex) matrix, or A[k] x[k] = b for
+    every matrix of a stack A, returning x as a vector or an (m, n) array.
 
-    Partial-pivoted elimination via LAPACK; raises SingularMatrixError with a
-    condition estimate when the matrix is numerically singular, and verifies
-    the residual ||Ax - b||_inf <= tol * (||A||_inf ||x||_inf + ||b||_inf).
+    The one checked solve: partial-pivoted elimination via LAPACK, refused
+    with SingularMatrixError where sigma_min(A) <= TOL.singular_rel ||A||_inf,
+    and with ConditioningError where the residual ||Ax - b||_inf exceeds
+    TOL.linear_residual_rel (||A||_inf ||x||_inf + ||b||_inf). A stack raises
+    the error of its first matrix that fails, in order; the error carries that
+    matrix's 2-norm condition estimate and its position as index (None for
+    one matrix). lower, one per matrix, are proven lower bounds on sigma_min:
+    the SVD runs only where a bound does not exceed twice the floor, the
+    factor 2 covering rounding in the bound.
     """
-    A = _check_matrix(A).astype(complex)
+    A = _check_matrix(A, (2, 3)).astype(complex, copy=False)
+    one = A.ndim == 2
+    if one:
+        A = A[None]
     b = np.asarray(b, dtype=complex)
-    if b.shape[0] != A.shape[0]:
+    if b.shape != A.shape[-1:]:
         raise ValueError("right-hand side is not conformable")
     if not np.isfinite(b).all():
         raise ValueError("right-hand side contains NaN/Inf entries")
 
-    norm_A = np.linalg.norm(A, np.inf)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= TOL.singular_rel * max(norm_A, 1e-300):
-        cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
-        raise SingularMatrixError(
-            f"matrix is numerically singular (condition ~ {cond:.3e})",
-            condition=cond,
-        )
-    x = np.linalg.solve(A, b)
-    resid = np.linalg.norm(A @ x - b, np.inf)
+    norm_A = np.abs(A).sum(axis=2).max(axis=1)
+    floor = TOL.singular_rel * np.maximum(norm_A, 1e-300)
+    unsure = slice(None) if lower is None else ~(lower > 2.0 * floor)
+    singular = np.zeros(len(A), dtype=bool)
+    if lower is None or unsure.any():
+        singular[unsure] = np.linalg.svd(A[unsure], compute_uv=False)[:, -1] <= floor[unsure]
+    m = singular.argmax() if singular.any() else len(A)
+    x = np.linalg.solve(A[:m], b[:, None])[..., 0]
+    resid = np.abs((A[:m] @ x[..., None])[..., 0] - b).max(axis=1)
     bound = TOL.linear_residual_rel * (
-        norm_A * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
+        norm_A[:m] * np.abs(x).max(axis=1) + np.abs(b).max()
     )
-    if resid > max(bound, 1e-300):
-        cond = sv[0] / sv[-1]
-        raise ConditioningError(
-            f"linear solve residual {resid:.3e} exceeds bound {bound:.3e} "
-            f"(condition ~ {cond:.3e})",
-            condition=cond,
-        )
-    return x
+    failed = resid > np.maximum(bound, 1e-300)
+    if failed.any() or m < len(A):
+        k = failed.argmax() if failed.any() else m
+        sv = np.linalg.svd(A[k], compute_uv=False)
+        cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
+        what = (f"linear solve residual {resid[k]:.3e} exceeds bound {bound[k]:.3e}"
+                if k < m else "matrix is numerically singular")
+        error = ConditioningError if k < m else SingularMatrixError
+        raise error(f"{what} (condition ~ {cond:.3e})", condition=cond,
+                    index=None if one else int(k))
+    return x[0] if one else x
 
 
 def eigenbasis(A):

@@ -29,8 +29,8 @@ class ScatterGeometry:
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError("positions must be an (N, 3) array")
+        if pos.ndim != 2 or pos.shape[1] != 3 or not np.isfinite(pos).all():
+            raise ValueError("positions must be a finite (N, 3) array")
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
 

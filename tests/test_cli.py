@@ -199,6 +199,29 @@ class TestSpectrumCommand:
                        "--out", str(tmp_path / "s2")])
         assert rc == 0
 
+    @pytest.mark.parametrize("method", ["numeric", "upper-branch"])
+    @pytest.mark.parametrize("Y, side, other", [("1", "lower", "upper"),
+                                                ("30", "upper", "lower")])
+    def test_single_root_takes_only_its_own_branch(self, tmp_path, capsys,
+                                                   method, Y, side, other):
+        # at C = 5 the one root at Y = 1 lies below X_minus = 1.33, at Y = 30
+        # above X_plus
+        argv = ["spectrum", "--method", method, "--C", "5", "--xi", "1", "--Y", Y,
+                "--points", "11", "--out", str(tmp_path / "s")]
+        assert cli.main(argv + ["--branch", other]) == 2
+        assert f"on the {side} side, not --branch {other}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert cli.main(argv + ["--branch", side]) == 0
+
+    @pytest.mark.parametrize("C", ["2", "4"])
+    @pytest.mark.parametrize("branch", ["lower", "upper"])
+    def test_no_branch_below_the_bistable_threshold(self, tmp_path, capsys, C, branch):
+        rc = cli.main(["spectrum", "--method", "numeric", "--C", C, "--xi", "1",
+                       "--Y", "1", "--branch", branch, "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert f"C={C} is not bistable: drop --branch" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_good_cavity_truncated_to_window(self, tmp_path):
         out = tmp_path / "gc"
         cli.main(["spectrum", "--method", "good-cavity", "--C", "5", "--xi", "0.01",
@@ -720,6 +743,44 @@ class TestExitCodes:
         assert cli.main(argv + ["--points", "11", "--out", str(tmp_path / "o")]) == 0
         meta, _, _ = read_csv(tmp_path / "o.csv")
         assert float(meta["X"]) == float(argv[-1])
+
+    @pytest.mark.parametrize("flag, name, text, argv", [
+        ("params", "missing.json", None,
+         ["spectrum", "--method", "numeric", "--X", "0.01"]),
+        ("params", "bad.json", "not json",
+         ["spectrum", "--method", "numeric", "--X", "0.01"]),
+        ("params", "number.json", "5", ["spectrum", "--method", "numeric", "--X", "0.01"]),
+        ("params", "text.json", '{"C": "five", "xi": 1, "N": 1}',
+         ["spectrum", "--method", "numeric", "--X", "0.01"]),
+        ("geometry", "missing.json", None, ["scatter", "--phase-sum"]),
+        ("geometry", "bad.json", "[[0, 0, 0],", ["scatter", "--phase-sum"]),
+        ("geometry", "ragged.json", "[[0, 0, 0], [1, 2]]", ["scatter", "--phase-sum"]),
+        ("geometry", "flat.json", "[0, 0, 0]", ["scatter", "--phase-sum"]),
+        ("geometry", "object.json", '{"x": 1}', ["scatter", "--phase-sum"]),
+        ("geometry", "nan.json", "[[0, 0, 0], [NaN, 0, 0]]", ["scatter", "--phase-sum"]),
+        ("geometry", "one.json", "[[0, 0, 0]]", ["scatter", "--phase-sum"]),
+    ])
+    def test_unusable_input_file_is_usage_error(self, tmp_path, capsys,
+                                                flag, name, text, argv):
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        out.mkdir()
+        path = inputs / name
+        if text is not None:
+            path.write_text(text)
+        rc = cli.main(argv + [f"--{flag}", str(path), "--out", str(out / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"usage error: --{flag} file '{path}'")
+        assert not list(out.iterdir())
+
+    def test_params_file_with_wrong_keys_stays_a_parameter_error(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"C": 5.0}))
+        rc = cli.main(["spectrum", "--method", "numeric", "--X", "0.01",
+                       "--params", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("parameter error: ")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(SystemExit) as err:

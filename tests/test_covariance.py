@@ -499,7 +499,10 @@ class TestSingularValueCertificate:
         eig = eigenbasis(J.entries)
         certificate = covariance_mod._eigenbasis_bound(J.entries, eig)
         certified = np.ones(s.size, dtype=bool)
-        certified[covariance_mod._uncertified(eig[0], certificate, s, floor)] = False
+        # the bound _resolve_block passes as lower, and the solve's rule on it
+        certified[:] = certificate is not None and (
+            np.min(np.abs(eig[0][None, :] - s[:, None]), axis=1) / certificate[0]
+            - certificate[1] > 2.0 * floor)
         sv_min = np.linalg.svd(A[certified], compute_uv=False)[:, -1]
         assert np.all(sv_min > floor[certified])
 

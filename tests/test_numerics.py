@@ -9,6 +9,7 @@ import scipy.linalg
 from conftest import integrate_linear_ode
 from optbistab import numerics as numerics_mod
 from optbistab.numerics import (
+    ConditioningError,
     DivergenceError,
     SingularMatrixError,
     integrate_ode,
@@ -79,6 +80,72 @@ class TestSolveComplexLinear:
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
             solve_complex_linear(np.eye(17), np.ones(17))
+
+
+def _stack(m=12, n=5, seed=13):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+    return A, rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def _singular_at(A, k):
+    A = A.copy()
+    A[k, -1] = A[k, 0]
+    return A
+
+
+def _off_at(j):
+    """np.linalg.solve with the solution of stack matrix j off by a relative
+    1e-6, which fails the residual bound."""
+    solve = np.linalg.solve
+
+    def off(A, b):
+        x = solve(A, b)
+        if x.ndim == 3 and len(x) > j:
+            x[j] *= 1.0 + 1e-6
+        return x
+    return mock.patch.object(np.linalg, "solve", off)
+
+
+class TestCheckedSolveStack:
+    def test_stack_equals_per_matrix_calls_bit_for_bit(self):
+        A, b = _stack()
+        got = solve_complex_linear(A, b)
+        assert got.shape == (len(A), A.shape[-1])
+        assert np.array_equal(got, [solve_complex_linear(Ak, b) for Ak in A])
+
+    @pytest.mark.parametrize("k, j", [(3, 8), (8, 3)])
+    def test_first_failure_in_order_is_raised(self, k, j):
+        # a singular matrix at k and a residual failure at j: the earlier wins
+        A = _singular_at(_stack()[0], k)
+        b = _stack()[1]
+        with _off_at(j), pytest.raises((SingularMatrixError, ConditioningError)) as err:
+            solve_complex_linear(A, b)
+        assert err.value.index == min(k, j)
+        assert type(err.value) is (SingularMatrixError if k < j else ConditioningError)
+        sv = np.linalg.svd(A[min(k, j)], compute_uv=False)
+        assert err.value.condition == (np.inf if sv[-1] == 0 else sv[0] / sv[-1])
+
+    def test_one_matrix_error_names_no_index(self):
+        with pytest.raises(SingularMatrixError) as err:
+            solve_complex_linear(_singular_at(_stack()[0], 0)[0], np.ones(5))
+        assert err.value.index is None
+
+    def test_lower_bounds_that_clear_the_floor_skip_the_svd(self):
+        A, b = _stack()
+        ref = solve_complex_linear(A, b)
+        svd = np.linalg.svd
+        with mock.patch.object(np.linalg, "svd", wraps=svd) as spy:
+            got = solve_complex_linear(A, b, lower=np.full(len(A), np.inf))
+        spy.assert_not_called()
+        assert np.array_equal(got, ref)
+
+    def test_lower_bounds_at_the_floor_keep_the_svd_verdict(self):
+        # a bound that does not clear twice the floor proves nothing
+        A = _singular_at(_stack()[0], 5)
+        with pytest.raises(SingularMatrixError) as err:
+            solve_complex_linear(A, _stack()[1], lower=np.zeros(len(A)))
+        assert err.value.index == 5
 
 
 class TestMatrixExponential:

@@ -137,6 +137,11 @@ class TestPhaseSum:
                 ScatterGeometry(positions=np.zeros(shape))
         assert ScatterGeometry(positions=[[0, 0, 0], [1, 2, 3]]).positions.shape == (2, 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_positions_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ScatterGeometry(positions=[[0, 0, 0], [bad, 0, 0]])
+
 
 class TestAuxiliaryChannel:
     def test_prefactor_substitution(self):
