@@ -198,11 +198,12 @@ def g2_numeric(params, X, tau_bar_grid) -> CorrelationSeries:
 
     Valid at any stable operating point. The atomic correlation row c0 is
     propagated through the full drift to every delay at once, by one
-    `numerics.propagate` call on any grid, uniform or not; the value at
-    tau_bar = 0 is the equal-time formula on c0 itself. The polarization
-    amplitude is p = X/(1+X^2) from the steady solution. Negative values
-    are flagged, never clamped: they diagnose the breakdown of the
-    linearized treatment. Delays must be finite and nonnegative.
+    `numerics.propagate` call on the model's drift eigenbasis, on any grid,
+    uniform or not; the value at tau_bar = 0 is the equal-time formula on c0
+    itself. The polarization amplitude is p = X/(1+X^2) from the steady
+    solution. Negative values are flagged, never clamped: they diagnose the
+    breakdown of the linearized treatment. Delays must be finite and
+    nonnegative.
     """
     if X == 0:
         raise ValueError("coherent amplitude vanishes at X = 0")
@@ -211,7 +212,7 @@ def g2_numeric(params, X, tau_bar_grid) -> CorrelationSeries:
     c0 = covariance_row(model.C, "nu*").entries
     p = abs(steady_moments(X)[1])
     norm = (p * p + c0[2].real / params.N) ** 2
-    c = propagate(model.J.entries, t, c0)
+    c = propagate(model.J.entries, t, c0, model.eig)
     vals = 1.0 + (2.0 / params.N) * p * p * (c[:, 2] + c[:, 3]).real / norm
     return CorrelationSeries(
         tau_bar=t, values=vals, variant="numeric", params=params_meta(params, X=X),

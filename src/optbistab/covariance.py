@@ -12,11 +12,14 @@ Two-time correlators anchored to one row r of the covariance form a
     c(tau_bar) = exp(J tau_bar) c(0),      c_hat(s_bar) = (s_bar I - J)^{-1} c(0),
 
 with c(0) the r-th row of the stationary covariance. linearize returns the
-LinearModel (J, C) of one operating point, whose resolve evaluates c_hat.
+LinearModel (J, C) of one operating point, whose resolve evaluates c_hat; it
+keeps the last model it built, so the routes that read one point in turn
+share one Lyapunov solve.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,7 +37,6 @@ from .numerics import (
     TOL,
     ConditioningError,
     SingularMatrixError,
-    eigenbasis,
     propagate,
     solve_complex_linear,
 )
@@ -119,15 +121,16 @@ def solve_lyapunov(J: FluctuationMatrix, D: FluctuationMatrix) -> FluctuationMat
 @dataclass(frozen=True)
 class LinearModel:
     """One operating point's full drift J and stationary covariance C. The
-    drift eigendecomposition eig = numerics.eigenbasis(J.entries) and the
-    resolvent's eigenbasis bound are built on first use, once."""
+    drift eigendecomposition eig is J.eig, built on first use and shared with
+    every propagation of J; the resolvent's eigenbasis bound is built on first
+    use, once."""
 
     J: FluctuationMatrix
     C: FluctuationMatrix
 
-    @cached_property
+    @property
     def eig(self):
-        return eigenbasis(self.J.entries)
+        return self.J.eig
 
     @cached_property
     def _certificate(self):
@@ -148,12 +151,26 @@ class LinearModel:
 
 def linearize(params, X) -> LinearModel:
     """The LinearModel at amplitude X: the full drift and its stationary
-    covariance. An unstable point raises UnstableDriftError naming X."""
-    J = build_jacobian(params, X, regime="full")
+    covariance. An unstable point raises UnstableDriftError naming X.
+
+    The last model built is kept: the next call at the same (C, xi, X)
+    returns that object, so routes that read one operating point in turn share
+    its Lyapunov solve and its drift eigenbasis. Errors are not kept, so a
+    failing point fails on every call.
+    """
     try:
-        return LinearModel(J, solve_lyapunov(J, build_diffusion(X)))
+        return _linear_model(float(params.C), float(params.xi), float(X))
     except UnstableDriftError:
         raise UnstableDriftError(f"operating point X={X:g} is not stable") from None
+
+
+# The key is (C, xi, X) because J and D read nothing else of params; it must
+# grow if build_jacobian or build_diffusion ever does. X = 0.0 and -0.0 share
+# an entry: J differs there only in the signs of zeros, and C is 0 either way.
+@lru_cache(maxsize=1)
+def _linear_model(C, xi, X) -> LinearModel:
+    J = build_jacobian(SimpleNamespace(C=C, xi=xi), X, regime="full")
+    return LinearModel(J, solve_lyapunov(J, build_diffusion(X)))
 
 
 def covariance_row(C: FluctuationMatrix, row: str) -> CorrelationVector:
@@ -241,13 +258,15 @@ def checked_delays(tau_bar):
 
 def evolve_correlation_vector(J: FluctuationMatrix, c0: CorrelationVector,
                               tau_bar) -> CorrelationVector:
-    """Propagate an equal-time row to a finite delay tau_bar >= 0: exp(J tau_bar) c0."""
+    """Propagate an equal-time row to a finite delay tau_bar >= 0: exp(J tau_bar) c0.
+
+    Every call on one J reads its one eigenbasis, J.eig."""
     if J.kind != "jacobian":
         raise ValueError("expected a jacobian")
     t = float(checked_delays(tau_bar))
     if t == 0.0:
         return c0
-    entries = propagate(J.entries, [t], c0.entries)[0]
+    entries = propagate(J.entries, [t], c0.entries, J.eig)[0]
     return CorrelationVector(row=c0.row, entries=entries, tau_bar=t)
 
 

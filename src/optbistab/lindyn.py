@@ -26,10 +26,11 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .numerics import TOL
+from .numerics import TOL, eigenbasis
 from .steady_state import turning_points
 
 BASIS = ("z", "z*", "nu", "nu*", "mu")
@@ -68,6 +69,16 @@ class FluctuationMatrix:
         if self.kind == "covariance":
             if np.max(np.abs(e - e.T)) > 1e-10:
                 raise ValueError("covariance must be symmetric to 1e-10")
+
+    @cached_property
+    def eig(self):
+        """numerics.eigenbasis(entries), built on first use and then shared by
+        every reader of this matrix, so its arrays are read-only."""
+        basis = eigenbasis(self.entries)
+        for a in basis:
+            if a is not None:
+                a.flags.writeable = False
+        return basis
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ kernels are thin, checked wrappers around LAPACK via numpy.
 `solve_complex_linear` is the one checked solve (floor, residual bound, first
 failure) of the covariance and the resolvent, which adds its pole gap and
 eigenbasis bounds. `eigenbasis` is the one eigendecomposition; `propagate`,
-the one route to exp(A t) b, needs one. scipy is loaded only on `propagate`'s
-first Pade fallback (a defective or ill-conditioned drift), so importing the
-package does not pull it in.
+the one route to exp(A t) b, takes it from its caller, so a drift that is
+propagated many times (`FluctuationMatrix.eig`) is decomposed once. scipy is
+loaded only on `propagate`'s first Pade fallback (a defective or
+ill-conditioned drift), so importing the package does not pull it in.
 `matrix_exponential`, the fixed-step RK4 `integrate_ode` and the composite
 trapezoid `quadrature` have no caller in the package: they remain only
 because the benchmark's layer tracer (`bench/recorder.py`) looks them up by
@@ -149,10 +150,10 @@ def _expm_pade(A):
     return expm(A)
 
 
-def propagate(A, times, b):
+def propagate(A, times, b, eig):
     """exp(A t_k) b for every t_k in times, stacked along the first axis.
 
-    One eigendecomposition A = V diag(w) V^-1 serves every delay: row k is
+    eig = eigenbasis(A), A = V diag(w) V^-1, serves every delay: row k is
     V diag(exp(w t_k)) y with V y = b. No eigenbasis, or an ill-conditioned
     one (cond_2(V) > TOL.expm_cond_max, e.g. a defective A), sends every
     delay to scaling-and-squaring (Moler and Van Loan, SIAM Rev. 45, 3
@@ -163,7 +164,7 @@ def propagate(A, times, b):
     if t.ndim != 1 or not np.isfinite(t).all():
         raise ValueError("times must be a 1-D array of finite values")
     b = np.asarray(b)
-    w, V, sv = eigenbasis(A)
+    w, V, sv = eig
     # cond_2(V) <= expm_cond_max without a division: sv[-1] = 0 fails
     if sv is not None and sv[0] <= TOL.expm_cond_max * sv[-1]:
         E = np.exp(np.outer(t, w))
@@ -179,7 +180,8 @@ def propagate(A, times, b):
 
 def matrix_exponential(A, t=1.0):
     """exp(A t): the one-delay case of `propagate`, applied to the identity."""
-    return propagate(A, [t], np.eye(len(A)))[0]
+    A = _check_matrix(A)
+    return propagate(A, [t], np.eye(len(A)), eigenbasis(A))[0]
 
 
 def integrate_ode(rhs, x0, t_max, dt):

@@ -18,10 +18,18 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_lyapunov as scipy_lyapunov
 
-from optbistab import __version__, output
+from optbistab import __version__, covariance, output
 from optbistab import params as params_mod
 from optbistab.lindyn import build_diffusion, build_jacobian
 from optbistab.numerics import integrate_ode
+
+
+@pytest.fixture(autouse=True)
+def fresh_linear_model():
+    """Every test starts with no linearized model kept by covariance.linearize,
+    so a model built by an earlier test can neither hide a fault injected into
+    the build nor change a call count."""
+    covariance._linear_model.cache_clear()
 
 
 @pytest.fixture

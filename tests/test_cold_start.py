@@ -45,10 +45,10 @@ def test_pade_fallback_loads_scipy_on_first_use():
     out = run_fresh(
         "import json\n"
         "import numpy as np\n"
-        "from optbistab.numerics import propagate\n"
+        "from optbistab.numerics import eigenbasis, propagate\n"
         "before = 'scipy' in sys.modules\n"
-        "rows = propagate(np.array([[0.0, 1.0], [0.0, 0.0]]), [0.0, 0.5, 3.0],"
-        " np.array([2.0, -1.5]))\n"
+        "A = np.array([[0.0, 1.0], [0.0, 0.0]])\n"
+        "rows = propagate(A, [0.0, 0.5, 3.0], np.array([2.0, -1.5]), eigenbasis(A))\n"
         "print(json.dumps([before, 'scipy' in sys.modules,"
         " rows.real.tolist(), rows.imag.tolist()]))\n")
     before, after, real, imag = json.loads(out)

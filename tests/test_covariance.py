@@ -42,10 +42,11 @@ from optbistab.numerics import (
     ConditioningError,
     SingularMatrixError,
     eigenbasis,
+    propagate,
     quadrature,
     solve_complex_linear,
 )
-from optbistab.params import SystemParams
+from optbistab.params import SystemParams, from_raw_rates
 from optbistab.steady_state import turning_points
 
 
@@ -264,6 +265,81 @@ class TestEvolve:
         _, states = integrate_linear_ode(J.entries, c0.entries, 5.0, 1e-3)
         out = evolve_correlation_vector(J, c0, 5.0)
         assert np.max(np.abs(out.entries - states[-1])) <= 1e-10
+
+    def test_delays_on_one_drift_share_one_eigendecomposition(self):
+        J, D = full_system(SystemParams(C=5.0, xi=1.0, N=100), 3.0)
+        c0 = covariance_row(solve_lyapunov(J, D), "nu*")
+        delays = 10.0 ** np.random.default_rng(7).uniform(-2.0, 1.0, 100)
+        with mock.patch.object(np.linalg, "eig", side_effect=np.linalg.eig) as eig:
+            rows = [evolve_correlation_vector(J, c0, tau).entries for tau in delays]
+        assert eig.call_count == 1
+        fresh = [propagate(J.entries, [tau], c0.entries, eigenbasis(J.entries))[0]
+                 for tau in delays]
+        assert all(np.array_equal(got, want) for got, want in zip(rows, fresh))
+
+
+class TestLinearizeKeepsTheLastModel:
+    X = 3.0   # past the weak guard at (5, 1): the model is a Lyapunov solve
+
+    @staticmethod
+    def _linearize(params, X):
+        """linearize(params, X) and the number of Lyapunov solves it made."""
+        solve = covariance_mod.solve_lyapunov
+        with mock.patch.object(covariance_mod, "solve_lyapunov", side_effect=solve) as spy:
+            model = linearize(params, X)
+        return model, spy.call_count
+
+    def test_atom_number_and_raw_rates_share_the_model(self):
+        rated = from_raw_rates(1.06, 0.88, 10.0, 310, unit="MHz")
+        model = linearize(rated, 0.01)
+        for N in (1, 310, 10**6):
+            got, solves = self._linearize(SystemParams(C=rated.C, xi=rated.xi, N=N), 0.01)
+            assert got is model and solves == 0
+
+    @pytest.mark.parametrize("change", [
+        {"C": 5.0 * (1.0 + 2**-52)},
+        {"xi": 1.0 + 2**-52},
+        {"X": 3.0 * (1.0 + 2**-52)},
+    ])
+    def test_a_new_point_builds_a_new_model(self, change):
+        model = linearize(SystemParams(C=5.0, xi=1.0, N=100), self.X)
+        point = {"C": 5.0, "xi": 1.0, "X": self.X, **change}
+        other, solves = self._linearize(SystemParams(C=point["C"], xi=point["xi"], N=100),
+                                        point["X"])
+        assert solves == 1 and other is not model
+        assert not np.array_equal(other.J.entries, model.J.entries)
+
+    def test_unstable_point_raises_on_every_call(self, weak_params):
+        # the error is not kept: every call builds and tests the drift again
+        stable = linearize(weak_params, 0.01)
+        jacobian = covariance_mod.build_jacobian
+        with mock.patch.object(covariance_mod, "build_jacobian", side_effect=jacobian) as spy:
+            for calls in (1, 2, 3):
+                with pytest.raises(UnstableDriftError, match="X=2 is not stable"):
+                    linearize(weak_params, 2.0)
+                assert spy.call_count == calls
+        assert linearize(weak_params, 0.01) is stable
+
+    def test_kept_model_is_bit_identical_to_a_rebuild(self):
+        p = SystemParams(C=5.0, xi=1.0, N=100)
+        kept = linearize(p, self.X)
+        kept.eig    # built on the kept model, then read back from it
+        assert linearize(p, self.X) is kept
+        covariance_mod._linear_model.cache_clear()
+        rebuilt = linearize(p, self.X)
+        assert rebuilt is not kept
+        for a, b in ((kept.J.entries, rebuilt.J.entries),
+                     (kept.C.entries, rebuilt.C.entries), *zip(kept.eig, rebuilt.eig)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_shared_arrays_are_read_only(self):
+        model = linearize(SystemParams(C=5.0, xi=1.0, N=100), self.X)
+        arrays = (model.J.entries, model.C.entries, *model.eig)
+        assert len(arrays) == 5 and model.eig[1] is not None
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 class TestLaplace:

@@ -12,6 +12,7 @@ from optbistab.numerics import (
     ConditioningError,
     DivergenceError,
     SingularMatrixError,
+    eigenbasis,
     integrate_ode,
     matrix_exponential,
     propagate,
@@ -190,7 +191,7 @@ class TestPropagate:
             A -= (np.max(np.linalg.eigvals(A).real) + rng.uniform(0.1, 2.0)) * np.eye(5)
             b = rng.normal(size=5) + 1j * rng.normal(size=5)
             t = np.sort(rng.uniform(0.0, 10.0, 40))
-            got = propagate(A, t, b)
+            got = propagate(A, t, b, eigenbasis(A))
             assert got.shape == (t.size, 5)
             for tk, row in zip(t, got):
                 want = scipy.linalg.expm(A * tk) @ b
@@ -200,7 +201,7 @@ class TestPropagate:
         rng = np.random.default_rng(3)
         A = rng.normal(size=(5, 5))
         b = rng.normal(size=5) + 1j * rng.normal(size=5)
-        out = propagate(A, [0.0, 0.5, 0.0], b)
+        out = propagate(A, [0.0, 0.5, 0.0], b, eigenbasis(A))
         assert np.array_equal(out[0], b) and np.array_equal(out[2], b)
 
     def test_matrix_right_hand_side_is_columnwise(self):
@@ -208,10 +209,11 @@ class TestPropagate:
         A = rng.normal(size=(4, 4))
         B = rng.normal(size=(4, 3))
         t = [0.3, 1.7]
-        got = propagate(A, t, B)
+        eig = eigenbasis(A)
+        got = propagate(A, t, B, eig)
         assert got.shape == (2, 4, 3)
         for j in range(3):
-            assert np.allclose(got[:, :, j], propagate(A, t, B[:, j]), rtol=0, atol=1e-13)
+            assert np.allclose(got[:, :, j], propagate(A, t, B[:, j], eig), rtol=0, atol=1e-13)
 
     def test_defective_takes_pade_and_is_exact(self):
         # a Jordan block has no eigenbasis: every delay goes to scaling-and-squaring
@@ -221,7 +223,7 @@ class TestPropagate:
         t = np.array([0.0, 0.25, 1.0, 3.5])
         pade = numerics_mod._expm_pade
         with mock.patch.object(numerics_mod, "_expm_pade", side_effect=pade) as spy:
-            got = propagate(A, t, b)
+            got = propagate(A, t, b, eigenbasis(A))
         assert spy.call_count == t.size
         for tk, row in zip(t, got):
             want = np.exp(-tk) * (np.eye(3) + N * tk + N @ N * tk * tk / 2.0) @ b
@@ -238,7 +240,7 @@ class TestPropagate:
         with mock.patch.object(np.linalg, broken,
                                side_effect=np.linalg.LinAlgError("no convergence")), \
                 mock.patch.object(numerics_mod, "_expm_pade", side_effect=pade) as spy:
-            got = propagate(A, t, b)
+            got = propagate(A, t, b, eigenbasis(A))
         assert spy.call_count == t.size
         for tk, row in zip(t, got):
             want = scipy.linalg.expm(A * tk) @ b
@@ -247,11 +249,12 @@ class TestPropagate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite(self, bad):
         A = -np.eye(3)
+        eig = eigenbasis(A)
         with pytest.raises(ValueError):
-            propagate(A, [0.0, bad], np.ones(3))
+            propagate(A, [0.0, bad], np.ones(3), eig)
         A[1, 2] = bad
         with pytest.raises(ValueError):
-            propagate(A, [0.0, 1.0], np.ones(3))
+            propagate(A, [0.0, 1.0], np.ones(3), eig)
 
 
 class TestIntegrateODE:

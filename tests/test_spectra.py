@@ -323,10 +323,11 @@ class TestOneModelPerPoint:
         model_cost = _eig_and_svd_calls(lambda: linearize(p, X))
         assert model_cost[0] == 0
         assert quadrature_variances(p, X).method == "lyapunov"
-        assert _eig_and_svd_calls(lambda: quadrature_variances(p, X)) == model_cost
+        # the routes read the model linearize kept for this point
+        assert _eig_and_svd_calls(lambda: quadrature_variances(p, X)) == (0, 0)
         # g2 pays only its propagator's eigenbasis: one eig, one SVD of V
         grid = np.linspace(0.0, 6.0, 50)
-        assert _eig_and_svd_calls(lambda: g2_numeric(p, X, grid)) == (1, model_cost[1] + 1)
+        assert _eig_and_svd_calls(lambda: g2_numeric(p, X, grid)) == (1, 1)
 
     @pytest.mark.parametrize("X, kind", [(0.01, "atomic"), (100.0, "forward")])
     def test_series_and_area_share_one_eigendecomposition(self, p51, X, kind):
@@ -340,7 +341,8 @@ class TestOneModelPerPoint:
             shared["series"] = spectrum_numeric(p51, X, kind, y, model=model)
             shared["area"] = verify_unit_area(f"numeric-{kind}", p51, X, model=model)
 
-        assert _eig_and_svd_calls(run)[0] == 1
+        # the model linearize kept already holds the eigenbasis the series built
+        assert _eig_and_svd_calls(run)[0] == 0
         assert np.array_equal(shared["series"].values, series.values)
         assert shared["area"] == area
 
