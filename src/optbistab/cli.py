@@ -12,8 +12,10 @@ array. Every warning reaches stderr once, as a "warning: ..." line.
 
 import argparse
 import dataclasses
+import shutil
 import sys
 import warnings as _warnings
+from collections.abc import Callable
 
 import numpy as np
 
@@ -28,43 +30,15 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_REGIME = 4
 
-_CUBE_SIDE = 50.0  # in wavelengths, of the cube `scatter --phase-sum --N` samples
-# the flags a run ignores, which _refuse refuses: those a spectrum or g2 --preset
-# fixes, and those only one scatter mode reads; all are unset (None) by default
-_PRESET_FIXED = ("params", "C", "xi", "N", "g_mhz", "kappa_mhz", "gamma_mhz",
-                 "X", "Y", "branch", "kind", "method", "variant", "ymax", "points", "taumax")
-_FLUX_ONLY = ("params", "C", "xi", "g_mhz", "kappa_mhz", "gamma_mhz", "X", "theta",
-              "solid_angle")
-_PHASE_SUM_ONLY = ("geometry", "cube", "trials")
-
 
 class UsageError(Exception):
     pass
 
 
-def _add_param_flags(sub):
-    sub.add_argument("--params", help="JSON parameter file")
-    sub.add_argument("--C", type=float, help="cooperativity")
-    sub.add_argument("--xi", type=float, help="decay-rate ratio 2 kappa/gamma")
-    sub.add_argument("--N", type=int, help="atom number")
-    sub.add_argument("--g-mhz", type=float, dest="g_mhz", help="g / 2pi in MHz")
-    sub.add_argument("--kappa-mhz", type=float, dest="kappa_mhz")
-    sub.add_argument("--gamma-mhz", type=float, dest="gamma_mhz")
-
-
-def _add_io_flags(sub):
-    sub.add_argument("--out", help="output path (or stem for multi-series runs)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=int, default=0)
-
-
 def _param_sources(args):
     """Whether --params, inline C/xi and inline rates were given, in that order."""
-    inline_dimless = args.C is not None or args.xi is not None
-    inline_rates = any(
-        getattr(args, k) is not None for k in ("g_mhz", "kappa_mhz", "gamma_mhz")
-    )
-    return args.params is not None, inline_dimless, inline_rates
+    return [any(name in args.given for name in source)
+            for source in (("params",), ("C", "xi"), ("g_mhz", "kappa_mhz", "gamma_mhz"))]
 
 
 def resolve_params(args, need_N=False):
@@ -78,8 +52,7 @@ def resolve_params(args, need_N=False):
     if args.params:
         return _load_file("params", args.params, params_mod.params_from_file)
     if inline_rates:
-        if args.N is None or args.g_mhz is None \
-                or args.kappa_mhz is None or args.gamma_mhz is None:
+        if not {"N", "g_mhz", "kappa_mhz", "gamma_mhz"} <= set(args.given):
             raise UsageError("rate parameters need --g-mhz --kappa-mhz --gamma-mhz --N")
         return params_mod.from_raw_rates(
             args.g_mhz, args.kappa_mhz, args.gamma_mhz, args.N, unit="MHz"
@@ -102,13 +75,6 @@ def _load_file(flag, path, load):
         raise
     except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"--{flag} file {path!r}: {exc}") from None
-
-
-def _refuse(args, flags, run):
-    """Usage error naming the first of `flags` given to `run`, which ignores it."""
-    given = [f for f in flags if getattr(args, f, None) is not None]
-    if given:
-        raise UsageError(f"{run} takes no --{given[0].replace('_', '-')}")
 
 
 def _emit_record(args, stem, meta, columns=None, rows=None, record=None,
@@ -166,11 +132,10 @@ def _emit_series(args, label_series, warn_msgs=(), always_suffix=False):
 def cmd_curve(args):
     if args.y is not None:
         return cmd_solve(args)
-    if args.xmax is None or args.xmax <= 0:
-        raise UsageError("curve needs --xmax > 0 (or --y)")
-    C = args.C
-    rows, tp = steady_state.curve_points(C, args.xmax, n=args.points)
-    meta = {"C": C, "command": "curve", "seed": args.seed}
+    if args.xmax is None:
+        raise UsageError("curve needs --xmax (or --y)")
+    rows, tp = steady_state.curve_points(args.C, args.xmax, n=args.points)
+    meta = {"C": args.C, "command": "curve", "seed": args.seed}
     if tp.exists or tp.degenerate:
         meta.update({"X_minus": tp.X_minus, "X_plus": tp.X_plus,
                      "Y_minus": tp.Y_minus, "Y_plus": tp.Y_plus,
@@ -178,18 +143,14 @@ def cmd_curve(args):
     else:
         meta.update({"bistable": False, "summary": "monostable"})
     _emit_record(args, args.out or "curve", meta, ("X", "Y", "branch"), rows)
-    return EXIT_OK
 
 
 def cmd_solve(args):
     """Roots of the state equation at the drive --y (also `curve --y`)."""
-    if not 0 <= args.y < np.inf:
-        raise UsageError("the drive Y must be finite and nonnegative")
     points = steady_state.solve_state_equation(args.C, args.y)
     rows = [(pt.X, pt.Y, pt.branch) for pt in points]
     meta = {"C": args.C, "Y": args.y, "command": args.command, "seed": args.seed}
     _emit_record(args, args.out or "solve", meta, ("X", "Y", "branch"), rows)
-    return EXIT_OK
 
 
 def _pick_operating_point(params, args):
@@ -221,26 +182,18 @@ def _pick_operating_point(params, args):
 
 
 def cmd_spectrum(args):
-    method = args.method or "numeric"
-    form = spectra.CLOSED_FORMS.get(method)
-    kind = form.kind if form else args.kind or "atomic"
-    if args.kind not in (None, kind):
-        raise UsageError(f"--method {method} gives the {kind} spectrum, "
+    form = spectra.CLOSED_FORMS.get(args.method)
+    kind = form.kind if form else args.kind
+    if args.kind != kind and "kind" in args.given:
+        raise UsageError(f"--method {args.method} gives the {kind} spectrum, "
                          f"not --kind {args.kind}")
     # a shape that depends only on X runs without params
     no_params = form and "params" not in form.needs and not any(_param_sources(args))
     params = None if no_params else resolve_params(args)
-    if args.X is not None:
-        _refuse(args, ("Y", "branch"), "spectrum --X")
-    if form and "X" not in form.needs:
-        # only a form that needs X reads the drive; one that reads no X refuses it
-        unread = ("Y", "branch") if "X" in form.optional else ("X", "Y", "branch")
-        _refuse(args, unread, f"spectrum --method {method}")
     if args.branch == "unstable-middle":
         raise UnstableDriftError("linearization invalid on the unstable branch")
-    ymax = 30.0 if args.ymax is None else args.ymax
-    grid = np.linspace(-ymax, ymax, 2001 if args.points is None else args.points)
-    if method == "numeric":
+    grid = np.linspace(-args.ymax, args.ymax, args.points)
+    if args.method == "numeric":
         X = _pick_operating_point(params, args)
         model = linearize(params, X)
         series = spectra.spectrum_numeric(params, X, kind, grid, model=model)
@@ -252,39 +205,29 @@ def cmd_spectrum(args):
         X = args.X
         if "X" in form.needs and X is None:
             if params is None:
-                raise UsageError(f"--method {method} needs --X (or --Y with params)")
+                raise UsageError(f"--method {args.method} needs --X (or --Y with params)")
             X = _pick_operating_point(params, args)
-        series = spectra.spectrum_closed_form(method, params, X=X, y_grid=grid)
+        series = spectra.spectrum_closed_form(args.method, params, X=X, y_grid=grid)
         norm_note = []
     if series.validity_window is not None and not args.full_range:
         lo, hi = series.validity_window
         keep = (series.y >= lo) & (series.y <= hi)
         series = dataclasses.replace(series, y=series.y[keep],
                                      values=series.values[keep])
-    _emit_series(args, [(method, series)], warn_msgs=norm_note)
-    return EXIT_OK
+    _emit_series(args, [(args.method, series)], warn_msgs=norm_note)
 
 
 def cmd_g2(args):
-    taumax = 6.0 if args.taumax is None else args.taumax
-    if not 0 < taumax < np.inf:
-        raise UsageError("g2 needs a finite --taumax > 0")
     params = resolve_params(args, need_N=True)
-    grid = np.linspace(0.0, taumax, 1201 if args.points is None else args.points)
-    variant = args.variant or "numeric"
-    if variant in correlations.G2_X_VARIANTS and args.X is None:
-        raise UsageError(f"g2 --variant {variant} needs --X")
-    if variant not in correlations.G2_X_VARIANTS \
-            and correlations._G2_PRECONDITIONS[variant][0] is None:
-        # neither the values nor a regime guard of this form read X
-        _refuse(args, ("X",), f"g2 --variant {variant}")
-    if variant == "numeric":
+    grid = np.linspace(0.0, args.taumax, args.points)
+    if args.variant in correlations.G2_X_VARIANTS and args.X is None:
+        raise UsageError(f"g2 --variant {args.variant} needs --X")
+    if args.variant == "numeric":
         series = correlations.g2_numeric(params, args.X, grid)
     else:
-        series = correlations.g2_closed_form(variant, params, X=args.X,
+        series = correlations.g2_closed_form(args.variant, params, X=args.X,
                                              tau_bar_grid=grid)
-    _emit_series(args, [(variant, series)])
-    return EXIT_OK
+    _emit_series(args, [(args.variant, series)])
 
 
 def cmd_squeeze(args):
@@ -292,14 +235,12 @@ def cmd_squeeze(args):
     qv = correlations.quadrature_variances(params, args.X)
     meta = params_mod.params_meta(params, X=args.X, command="squeeze", seed=args.seed)
     _emit_record(args, args.out or "squeeze", meta, record=dataclasses.asdict(qv))
-    return EXIT_OK
 
 
 def cmd_scatter(args):
     if args.phase_sum:
-        _refuse(args, _FLUX_ONLY, "scatter --phase-sum")
         if args.geometry is not None:
-            if args.N is not None or args.cube is not None:
+            if args.N is not None or "cube" in args.given:
                 raise UsageError("--geometry gives the positions: drop --N and --cube")
             geom = _load_file("geometry", args.geometry,
                               lambda path: scattering.load_geometry(path, args.seed))
@@ -309,30 +250,25 @@ def cmd_scatter(args):
         else:
             if args.N is None or args.N < 2:
                 raise UsageError("--phase-sum needs --N >= 2 (or --geometry FILE)")
-            cube = _CUBE_SIDE if args.cube is None else args.cube
-            positions = scattering.sample_positions_cube(args.N, cube, seed=args.seed)
+            positions = scattering.sample_positions_cube(args.N, args.cube, seed=args.seed)
             geom = scattering.ScatterGeometry(positions=positions,
                                               rng_seed=args.seed)
-            source = {"N": args.N, "cube_side_lambda": cube}
-        trials = 1000 if args.trials is None else args.trials
-        stats = scattering.phase_sum_monte_carlo(geom, trials)
-        meta = {"command": "scatter-phase-sum", **source, "trials": trials,
+            source = {"N": args.N, "cube_side_lambda": args.cube}
+        stats = scattering.phase_sum_monte_carlo(geom, args.trials)
+        meta = {"command": "scatter-phase-sum", **source, "trials": args.trials,
                 "seed": args.seed}
         _emit_record(args, args.out or "phase_sum", meta,
                      record=dataclasses.asdict(stats))
-        return EXIT_OK
+        return
     # incoherent side flux
-    _refuse(args, _PHASE_SUM_ONLY, "scatter flux")
     params = resolve_params(args)
     if args.X is None:
         raise UsageError("scatter flux needs --X")
-    theta = np.pi / 2 if args.theta is None else args.theta
-    solid_angle = 1e-3 if args.solid_angle is None else args.solid_angle
-    res = scattering.side_flux(params, args.X, theta, solid_angle)
-    meta = params_mod.params_meta(params, X=args.X, theta=theta, solid_angle=solid_angle,
+    res = scattering.side_flux(params, args.X, args.theta, args.solid_angle)
+    meta = params_mod.params_meta(params, X=args.X, theta=args.theta,
+                                  solid_angle=args.solid_angle,
                                   command="scatter-flux", seed=args.seed)
     _emit_record(args, args.out or "side_flux", meta, record=dataclasses.asdict(res))
-    return EXIT_OK
 
 
 def cmd_preset(args):
@@ -341,86 +277,137 @@ def cmd_preset(args):
     if args.out is None:
         args.out = name
     _emit_series(args, label_series, always_suffix=True)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
+@dataclasses.dataclass(frozen=True)
+class Flag:
+    """One flag: its argparse keywords and help, the value it reads when unset
+    (argparse leaves it None, so a run can tell it was not given), the range
+    of a given number (a key of _RANGES) and the runs that read it: `reads`
+    maps a mode flag to a test of its value, which fails for a run that takes
+    no such flag. A mode flag's mode(value) names its run."""
+
+    spec: dict = dataclasses.field(default_factory=dict)
+    help: str = ""
+    default: object = None
+    rule: str | None = None
+    reads: dict = dataclasses.field(default_factory=dict)
+    mode: Callable | None = None
+
+
+_RANGES = {  # rule: (test of a finite value, the range in a message)
+    "finite": (lambda v: True, ""),
+    "positive": (lambda v: v > 0, " > 0"),
+    "nonnegative": (lambda v: v >= 0, " >= 0"),
+    "positive, at most 4pi": (lambda v: 0 < v <= 4.0 * np.pi, " in (0, 4pi]"),
+}
+_unset = lambda value: value is None
+_FIXED = {"preset": _unset}  # a --preset run reads only the I/O flags
+_FLUX, _PHASE_SUM = {"phase_sum": _unset}, {"phase_sum": bool}
+
+
+def _form_reads(test):
+    """A test of --method: test(the method's CLOSED_FORMS entry, None for numeric)."""
+    return lambda method: test(spectra.CLOSED_FORMS.get(method))
+
+
+def _param_flags(reads, N_reads):
+    """--params, or --C and --xi, or the rates, with --N: params.validate
+    checks the values, from a file and inline alike."""
+    return {"params": Flag(help="JSON parameter file", reads=reads),
+            "C": Flag(dict(type=float), "cooperativity", reads=reads),
+            "xi": Flag(dict(type=float), "decay-rate ratio 2 kappa/gamma", reads=reads),
+            "N": Flag(dict(type=int), "atom number", reads=N_reads),
+            "g_mhz": Flag(dict(type=float), "g / 2pi in MHz", reads=reads),
+            "kappa_mhz": Flag(dict(type=float), reads=reads),
+            "gamma_mhz": Flag(dict(type=float), reads=reads)}
+
+
+_IO = {"out": Flag(help="output path (or stem for multi-series runs)"),
+       "format": Flag(dict(choices=("csv", "json")), default="csv"),
+       "seed": Flag(dict(type=int), default=0)}
+_PRESET = Flag(dict(choices=presets.PRESET_NAMES), mode=lambda name: f"--preset {name}")
+_C = Flag(dict(type=float, required=True), rule="positive")
+_DRIVE = {**_FIXED, "X": _unset, "method": _form_reads(lambda f: not f or "X" in f.needs)}
+
+# command: (help, {dest: Flag}). A run refuses the first given flag, in table
+# order, that one of its modes does not read, naming that mode.
+_COMMANDS = {
+    "curve": ("bistability curve with turning points", {
+        "C": _C,
+        "xmax": Flag(dict(type=float), rule="positive", reads={"y": _unset}),
+        "y": Flag(dict(type=float), "solve the state equation at this drive",
+                  rule="nonnegative", mode=lambda y: "curve --y"),
+        "points": Flag(dict(type=int), "", 400, "positive", {"y": _unset}), **_IO}),
+    "solve": ("roots of the state equation at a drive", {
+        "C": _C, "y": Flag(dict(type=float, required=True), rule="nonnegative"), **_IO}),
+    "spectrum": ("incoherent spectra", {
+        "preset": _PRESET, **_param_flags(_FIXED, _FIXED),
+        "kind": Flag(dict(choices=("atomic", "forward")),
+                     "numeric anchor; a closed form has its own", "atomic", reads=_FIXED),
+        "method": Flag(dict(choices=("numeric",) + spectra.CLOSED_FORM_VARIANTS),
+                       default="numeric", reads=_FIXED,
+                       mode=lambda method: f"spectrum --method {method}"),
+        "Y": Flag(dict(type=float), rule="nonnegative", reads=_DRIVE),
+        "branch": Flag(dict(choices=("lower", "upper", "unstable-middle")), reads=_DRIVE),
+        "X": Flag(dict(type=float), rule="finite", mode=lambda X: "spectrum --X", reads={
+            **_FIXED, "method": _form_reads(lambda f: not f or "X" in f.needs + f.optional)}),
+        "ymax": Flag(dict(type=float), "grid half-width", 30.0, "positive", _FIXED),
+        "points": Flag(dict(type=int), "grid size", 2001, "positive", _FIXED),
+        "full_range": Flag(dict(action="store_true"), "do not truncate series to their "
+                           "validity window", reads={**_FIXED, "method": _form_reads(
+                               lambda f: f and f.window is not None)}), **_IO}),
+    "g2": ("second-order correlation functions", {
+        "preset": _PRESET, **_param_flags(_FIXED, _FIXED),
+        "variant": Flag(dict(choices=("numeric",) + correlations.G2_VARIANTS),
+                        default="numeric", reads=_FIXED,
+                        mode=lambda variant: f"g2 --variant {variant}"),
+        # a variant reads X when it requires X or when its regime guard does
+        "X": Flag(dict(type=float), rule="finite", reads={**_FIXED, "variant": lambda v: (
+            v in correlations.G2_X_VARIANTS or correlations._G2_PRECONDITIONS[v][0])}),
+        "points": Flag(dict(type=int), "grid size", 1201, "positive", _FIXED),
+        "taumax": Flag(dict(type=float), "largest delay", 6.0, "positive", _FIXED), **_IO}),
+    "squeeze": ("quadrature variances and squeezing", {
+        **_param_flags({}, {}), "X": Flag(dict(type=float, required=True), rule="finite"),
+        **_IO}),
+    "scatter": ("side flux and phase-sum Monte Carlo", {
+        "phase_sum": Flag(dict(action="store_true"),
+                          mode=lambda on: "scatter --phase-sum" if on else "scatter flux"),
+        **_param_flags(_FLUX, {}),
+        "geometry": Flag(help="JSON file with [x, y, z] positions in wavelength units",
+                         reads=_PHASE_SUM),
+        "cube": Flag(dict(type=float), "cube side in wavelengths for sampled positions",
+                     50.0, "positive", _PHASE_SUM),
+        "trials": Flag(dict(type=int), "phase-sum directions", 1000, "positive", _PHASE_SUM),
+        "X": Flag(dict(type=float), rule="finite", reads=_FLUX),
+        "theta": Flag(dict(type=float), "flux polar angle", np.pi / 2, "finite", _FLUX),
+        "solid_angle": Flag(dict(type=float), "", 1e-3, "positive, at most 4pi", _FLUX),
+        **_IO}),
+    "preset": ("run a named figure preset", _IO),
+}
+
+
 def build_parser():
+    # argparse reads the terminal width for each argument it adds; read it once
+    width = shutil.get_terminal_size().columns - 2
+    formatter = lambda prog: argparse.HelpFormatter(prog, width=width)
     ap = argparse.ArgumentParser(
-        prog="optbistab",
+        prog="optbistab", formatter_class=formatter,
         description="Linearized fluctuations in absorptive optical bistability",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("curve", help="bistability curve with turning points")
-    p.add_argument("--C", type=float, required=True)
-    p.add_argument("--xmax", type=float)
-    p.add_argument("--y", type=float, help="solve the state equation at this drive")
-    p.add_argument("--points", type=int, default=400)
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("solve", help="roots of the state equation at a drive")
-    p.add_argument("--C", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("spectrum", help="incoherent spectra")
-    _add_param_flags(p)
-    p.add_argument("--kind", choices=("atomic", "forward"),
-                   help="numeric default atomic; a closed form has its own")
-    p.add_argument("--method", choices=("numeric",) + spectra.CLOSED_FORM_VARIANTS,
-                   help="default numeric")
-    p.add_argument("--X", type=float)
-    p.add_argument("--Y", type=float)
-    p.add_argument("--branch", choices=("lower", "upper", "unstable-middle"))
-    p.add_argument("--ymax", type=float, help="grid half-width (default 30)")
-    p.add_argument("--points", type=int, help="grid size (default 2001)")
-    p.add_argument("--preset", choices=presets.PRESET_NAMES)
-    p.add_argument("--full-range", action="store_true",
-                   help="do not truncate series to their validity window")
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("g2", help="second-order correlation functions")
-    _add_param_flags(p)
-    p.add_argument("--variant", choices=("numeric",) + correlations.G2_VARIANTS,
-                   help="default numeric")
-    p.add_argument("--X", type=float)
-    p.add_argument("--taumax", type=float, help="largest delay (default 6)")
-    p.add_argument("--points", type=int, help="grid size (default 1201)")
-    p.add_argument("--preset", choices=presets.PRESET_NAMES)
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_g2)
-
-    p = sub.add_parser("squeeze", help="quadrature variances and squeezing")
-    _add_param_flags(p)
-    p.add_argument("--X", type=float, required=True)
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_squeeze)
-
-    p = sub.add_parser("scatter", help="side flux and phase-sum Monte Carlo")
-    _add_param_flags(p)
-    p.add_argument("--phase-sum", action="store_true", dest="phase_sum")
-    p.add_argument("--geometry", help="JSON file with [x, y, z] positions in "
-                   "wavelength units")
-    p.add_argument("--cube", type=float, help="cube side in wavelengths for "
-                   f"sampled positions (default {_CUBE_SIDE:g})")
-    p.add_argument("--trials", type=int, help="phase-sum directions (default 1000)")
-    p.add_argument("--X", type=float)
-    p.add_argument("--theta", type=float, help="flux polar angle (default pi/2)")
-    p.add_argument("--solid-angle", type=float, dest="solid_angle", help="default 1e-3")
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_scatter)
-
-    p = sub.add_parser("preset", help="run a named figure preset")
-    p.add_argument("preset", choices=presets.PRESET_NAMES)
-    _add_io_flags(p)
-
+    for command, (text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text, formatter_class=formatter)
+        if command == "preset":
+            p.add_argument("preset", choices=presets.PRESET_NAMES)
+        for name, flag in flags.items():
+            shown = flag.help if flag.default is None \
+                else f"{flag.help} (default {flag.default})".lstrip()
+            p.add_argument("--" + name.replace("_", "-"), default=None, help=shown, **flag.spec)
     return ap
 
 
@@ -437,21 +424,30 @@ def main(argv=None):
     return rc
 
 
+def _check_flags(args, flags):
+    """Refuse the first given flag, in table order, that a mode of the run does
+    not read or whose number is out of range; an unset flag reads its default."""
+    args.given = [name for name in flags if getattr(args, name) is not None]
+    vars(args).update({n: f.default for n, f in flags.items() if n not in args.given})
+    for name in args.given:
+        option, flag, value = "--" + name.replace("_", "-"), flags[name], getattr(args, name)
+        for mode, test in flag.reads.items():
+            if not test(getattr(args, mode)):
+                raise UsageError(f"{flags[mode].mode(getattr(args, mode))} takes no {option}")
+        if flag.rule and not (np.isfinite(value) and _RANGES[flag.rule][0](value)):
+            rule, bound = flag.rule if np.isfinite(value) else "finite", _RANGES[flag.rule][1]
+            raise UsageError(f"{option} must be {rule}: give a finite {option}{bound}")
+
+
 def _run(args):
     """Run the chosen command; map its failure to an exit code."""
     try:
-        for flag in ("X", "Y", "ymax", "xmax", "cube"):
-            if not np.isfinite(getattr(args, flag, None) or 0.0):  # unset reads 0
-                raise UsageError(f"--{flag} must be finite")
-        for flag in ("ymax", "cube", "solid_angle", "points", "trials"):
-            if (value := getattr(args, flag, None)) is not None and value <= 0:
-                raise UsageError(f"--{flag.replace('_', '-')} must be positive")
-        # `preset NAME` and the --preset of spectrum and g2 run here
-        preset = getattr(args, "preset", None)
-        if preset:
-            _refuse(args, _PRESET_FIXED, f"--preset {preset}")
-        rc = cmd_preset(args) if preset else args.func(args)
-        return rc if isinstance(rc, int) else EXIT_OK
+        _check_flags(args, _COMMANDS[args.command][1])
+        # `preset NAME` and the --preset of spectrum and g2 run here; the command
+        # is looked up at call time
+        run = cmd_preset if getattr(args, "preset", None) else globals()[f"cmd_{args.command}"]
+        run(args)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -66,9 +66,9 @@ def from_raw_rates(g, kappa, gamma, N, unit="rad/s"):
         g, kappa, gamma = (x * TWO_PI_MHZ for x in (g, kappa, gamma))
     elif unit != "rad/s":
         raise ParameterError(f"unit must be 'rad/s' or 'MHz', got {unit!r}")
-    for name, val in (("g", g), ("kappa", kappa), ("gamma", gamma)):
-        if not (val > 0):
-            raise ParameterError(f"{name} must be positive")
+    report = list(filter(None, map(_violation, ("g", "kappa", "gamma"), (g, kappa, gamma))))
+    if report:
+        raise ParameterError("; ".join(report))
     if N < 1:
         raise ParameterError("N must be >= 1")
     C = N * g * g / (kappa * gamma)
@@ -77,26 +77,28 @@ def from_raw_rates(g, kappa, gamma, N, unit="rad/s"):
     return SystemParams(C=C, xi=xi, N=int(N), g=g, kappa=kappa, gamma=gamma, n_sc=n_sc)
 
 
+def _violation(name, value):
+    """Why value cannot be the positive, finite field `name`; None if it can."""
+    if not math.isfinite(value):
+        return f"{name} must be finite"
+    if not value > 0:
+        return f"{name} must be positive"
+
+
 def validate(params) -> list[str]:
     """Check every SystemParams invariant; returns a list of violations.
 
     An empty list means the parameters are consistent. This never raises, so
     callers can surface all problems at once.
     """
-    report = []
-    if not (params.C > 0):
-        report.append("C must be positive")
-    if not (params.xi > 0):
-        report.append("xi must be positive")
+    report = list(filter(None, map(_violation, ("C", "xi"), (params.C, params.xi))))
     if params.N < 1:
         report.append("N must be >= 1")
     rates = (params.g, params.kappa, params.gamma)
     if any(r is not None for r in rates) and not all(r is not None for r in rates):
         report.append("raw rates must be given all together or not at all")
     elif all(r is not None for r in rates):
-        for name, val in zip(("g", "kappa", "gamma"), rates):
-            if not (val > 0):
-                report.append(f"{name} must be positive")
+        report += filter(None, map(_violation, ("g", "kappa", "gamma"), rates))
         if not report:
             C_derived = params.N * params.g**2 / (params.kappa * params.gamma)
             if abs(2 * params.C - 2 * C_derived) > _REL_TOL * abs(2 * params.C):

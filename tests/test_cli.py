@@ -787,3 +787,130 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             cli.main(["preset", "nope"])
         assert err.value.code == 2
+
+
+RATES = ["--g-mhz", "1.06", "--kappa-mhz", "0.88", "--gamma-mhz", "10", "--N", "310"]
+P5 = ["--C", "5", "--xi", "1"]
+
+
+def _mode_runs(command):
+    """A run of every mode of `command` in the CLI's flag table; each exits 0."""
+    g2_reads_X = cli._COMMANDS["g2"][1]["X"].reads["variant"]
+    return {
+        "curve": [["--C", "5", "--xmax", "5"], ["--C", "5", "--y", "6"]],
+        "solve": [["--C", "5", "--y", "6"]],
+        "spectrum": [
+            ["--preset", "fig1c"],
+            [*P5, "--X", "0.01", "--points", "11"],
+            [*P5, "--Y", "6", "--branch", "upper", "--points", "11"],
+            [*RATES, "--X", "0.01", "--points", "11"],
+            ["--method", "upper-branch", *P5, "--Y", "30", "--points", "11"],
+            *(["--method", method, *P5, "--points", "11"]
+              + (["--X", "20"] if "X" in form.needs else [])
+              for method, form in spectra.CLOSED_FORMS.items())],
+        "g2": [
+            ["--preset", "fig2a"],
+            [*P5, "--N", "100", "--X", "0.01", "--points", "11"],
+            ["--variant", "atomic-weak-recast", *RATES, "--X", "0.01", "--points", "11"],
+            *(["--variant", variant, *P5, "--N", "100", "--points", "11"]
+              + (["--X", "0.01"] if g2_reads_X(variant) else [])
+              for variant in correlations.G2_VARIANTS if variant != "atomic-weak-recast")],
+        "squeeze": [[*P5, "--X", "0.05"], [*RATES, "--X", "0.05"]],
+        "scatter": [[*P5, "--X", "1"], [*RATES, "--X", "1"],
+                    ["--phase-sum", "--N", "10", "--trials", "20"]],
+        "preset": [["fig1c"]],
+    }[command]
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", ["curve", "solve", "spectrum", "g2", "squeeze",
+                                         "scatter", "preset"])
+    def test_table_drives_refusals_ranges_and_help(self, tmp_path, capsys, command):
+        _, flags = cli._COMMANDS[command]
+        floats = {name for name, flag in flags.items() if flag.spec.get("type") is float}
+        tried = set()
+        for base in _mode_runs(command):
+            argv = [command, *base]
+            assert cli.main(argv + ["--out", str(tmp_path / "ok")]) == 0, argv
+            for path in tmp_path.iterdir():
+                path.unlink()
+            capsys.readouterr()
+            args = cli.build_parser().parse_args(argv)
+            mode = {name: flag.default if getattr(args, name) is None else getattr(args, name)
+                    for name, flag in flags.items() if flag.mode}
+            for name, flag in flags.items():
+                option = f"--{name.replace('_', '-')}"
+                refusing = [m for m, test in flag.reads.items() if not test(mode[m])]
+                if option in argv:
+                    assert not refusing, (argv, option)
+                    continue
+                if not refusing:
+                    continue
+                # a flag this mode does not read is refused, naming the mode
+                value = ([] if flag.spec.get("action") == "store_true"
+                         else [flag.spec["choices"][-1]] if "choices" in flag.spec
+                         else ["1"])
+                rc = cli.main(argv + [option, *value, "--out", str(tmp_path / "o")])
+                run = flags[refusing[0]].mode(mode[refusing[0]])
+                assert (rc, capsys.readouterr().err) == (
+                    2, f"usage error: {run} takes no {option}\n"), argv
+                assert not list(tmp_path.iterdir())
+            # every float flag the mode reads refuses nan and inf; one the run
+            # gives is replaced, one with a range rule is added
+            for name in sorted(floats):
+                flag, option = flags[name], f"--{name.replace('_', '-')}"
+                if any(not test(mode[m]) for m, test in flag.reads.items()) or (
+                        option not in argv and (flag.rule is None or flag.mode)):
+                    continue
+                tried.add(name)
+                for bad in ("nan", "inf"):
+                    run = (argv[:argv.index(option) + 1] + [bad] + argv[argv.index(option) + 2:]
+                           if option in argv else argv + [option, bad])
+                    assert cli.main(run + ["--out", str(tmp_path / "o")]) == 2, run
+                    assert not list(tmp_path.iterdir())
+        assert tried == floats
+        # --help names every default of the table
+        with pytest.raises(SystemExit) as done:
+            cli.main([command, "--help"])
+        assert done.value.code == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        for name, flag in flags.items():
+            if flag.default is not None:
+                assert f"(default {flag.default})" in shown, (command, name)
+
+    @pytest.mark.parametrize("argv, err", [
+        (["curve", "--C", "5", "--y", "6", "--xmax", "3"], "usage error: curve --y takes no --xmax\n"),
+        (["curve", "--C", "5", "--y", "6", "--points", "7"],
+         "usage error: curve --y takes no --points\n"),
+        (["spectrum", "--preset", "fig1b", "--full-range"],
+         "usage error: --preset fig1b takes no --full-range\n"),
+        *((["spectrum", "--method", method, *P5, "--full-range"]
+           + (["--X", "20"] if form and "X" in form.needs else []),
+           f"usage error: spectrum --method {method} takes no --full-range\n")
+          for method, form in {"numeric": None, **spectra.CLOSED_FORMS}.items()
+          if form is None or form.window is None),
+        *((["scatter", *P5, "--X", "1", "--theta", bad], "usage error: --theta must be finite")
+          for bad in ("nan", "inf")),
+        *((["scatter", *P5, "--X", "1", "--solid-angle", bad],
+           "usage error: --solid-angle must be finite") for bad in ("nan", "inf")),
+        (["scatter", *P5, "--X", "1", "--solid-angle", "20"],
+         "usage error: --solid-angle must be positive, at most 4pi"),
+        (["solve", "--C", "-1", "--y", "3"], "usage error: --C must be positive"),
+        (["curve", "--C", "nan", "--xmax", "3"], "usage error: --C must be finite"),
+        (["spectrum", "--method", "numeric", *P5, "--Y", "-1"], "usage error: --Y must be nonnegative"),
+        (["spectrum", "--method", "numeric", "--C", "inf", "--xi", "1", "--X", "0.01"],
+         "parameter error: C must be finite"),
+        (["spectrum", "--method", "numeric", "--C", "5", "--xi", "inf", "--X", "0.01"],
+         "parameter error: xi must be finite"),
+        (["spectrum", "--method", "numeric", "--params", "{params}", "--X", "0.01"],
+         "parameter error: C must be finite"),
+    ])
+    def test_unread_or_out_of_range_flag_exits_two(self, tmp_path, capsys, argv, err):
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        out.mkdir()
+        (inputs / "p.json").write_text('{"C": 1e999, "xi": 1, "N": 1}')
+        argv = [a.format(params=inputs / "p.json") for a in argv]
+        assert cli.main(argv + ["--out", str(out / "o")]) == 2
+        assert capsys.readouterr().err.startswith(err)
+        assert not list(out.iterdir())

@@ -67,6 +67,15 @@ class TestValidate:
         report = validate(stub)
         assert any("C must be positive" in line for line in report)
 
+    @pytest.mark.parametrize("field", ["C", "xi"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_value_reported(self, field, value):
+        stub = SimpleNamespace(**{"C": 5.0, "xi": 1.0, field: value}, N=100, g=None,
+                               kappa=None, gamma=None, n_sc=None)
+        assert validate(stub) == [f"{field} must be finite"]
+        with pytest.raises(ParameterError, match="kappa must be finite"):
+            from_raw_rates(1.0, value, 1.0, 10)
+
     def test_inconsistent_rates_reported(self):
         good = from_raw_rates(1.0, 1.0, 1.0, 10)
         stub = SimpleNamespace(C=good.C * 1.1, xi=good.xi, N=good.N, g=good.g,
