@@ -12,6 +12,7 @@ array. Every warning reaches stderr once, as a "warning: ..." line.
 
 import argparse
 import dataclasses
+import re
 import shutil
 import sys
 import warnings as _warnings
@@ -154,27 +155,24 @@ def cmd_solve(args):
 
 
 def _pick_operating_point(params, args):
-    """Amplitude from --X directly or from --Y plus a branch selector."""
+    """Amplitude from --X directly or from --Y plus a branch selector, which
+    must match the branch label of the root it picks."""
     if args.X is not None:
         return args.X
     if args.Y is None:
         raise UsageError("give --X or --Y")
     points = steady_state.solve_state_equation(params.C, args.Y)
-    stable = [p for p in points if p.branch in ("lower", "upper", "monostable")]
     if len(points) > 1:
         if args.branch not in ("lower", "upper"):
             raise UsageError("multiple roots: disambiguate with --branch lower|upper")
-        matches = [p for p in points if p.branch == args.branch]
-        if not matches:
+        points = [p for p in points if p.branch == args.branch]
+        if not points:
             raise UsageError(f"no {args.branch} root at Y={args.Y:g}")
-        return matches[0].X
-    if not stable:
+    X, side = points[0].X, points[0].branch
+    if side not in ("lower", "upper", "monostable"):
         raise UnstableDriftError("linearization invalid on the unstable branch")
-    X, tp = points[0].X, steady_state.turning_points(params.C)
-    if args.branch is not None and not tp.exists:
+    if args.branch is not None and side == "monostable":
         raise UsageError(f"C={params.C:g} is not bistable: drop --branch")
-    # one root lies on the lower side below X_minus, on the upper above X_plus
-    side = tp.exists and ("lower" if X < tp.X_minus else "upper")
     if args.branch not in (None, side):
         raise UsageError(f"the one root at Y={args.Y:g} (X={X:g}) is on the "
                          f"{side} side, not --branch {args.branch}")
@@ -202,11 +200,9 @@ def cmd_spectrum(args):
                      f"(tail bound {check['tail_bound']:.2e}) "
                      f"(quadrature error {check['quadrature_error']:.2e})"]
     else:
-        X = args.X
-        if "X" in form.needs and X is None:
-            if params is None:
-                raise UsageError(f"--method {args.method} needs --X (or --Y with params)")
-            X = _pick_operating_point(params, args)
+        if "X" in form.needs and args.X is None and params is None:
+            raise UsageError(f"--method {args.method} needs --X (or --Y with params)")
+        X = _pick_operating_point(params, args) if "X" in form.needs else args.X
         series = spectra.spectrum_closed_form(args.method, params, X=X, y_grid=grid)
         norm_note = []
     if series.validity_window is not None and not args.full_range:
@@ -354,7 +350,7 @@ _COMMANDS = {
                        mode=lambda method: f"spectrum --method {method}"),
         "Y": Flag(dict(type=float), rule="nonnegative", reads=_DRIVE),
         "branch": Flag(dict(choices=("lower", "upper", "unstable-middle")), reads=_DRIVE),
-        "X": Flag(dict(type=float), rule="finite", mode=lambda X: "spectrum --X", reads={
+        "X": Flag(dict(type=float), rule="nonnegative", mode=lambda X: "spectrum --X", reads={
             **_FIXED, "method": _form_reads(lambda f: not f or "X" in f.needs + f.optional)}),
         "ymax": Flag(dict(type=float), "grid half-width", 30.0, "positive", _FIXED),
         "points": Flag(dict(type=int), "grid size", 2001, "positive", _FIXED),
@@ -367,12 +363,12 @@ _COMMANDS = {
                         default="numeric", reads=_FIXED,
                         mode=lambda variant: f"g2 --variant {variant}"),
         # a variant reads X when it requires X or when its regime guard does
-        "X": Flag(dict(type=float), rule="finite", reads={**_FIXED, "variant": lambda v: (
+        "X": Flag(dict(type=float), rule="nonnegative", reads={**_FIXED, "variant": lambda v: (
             v in correlations.G2_X_VARIANTS or correlations._G2_PRECONDITIONS[v][0])}),
         "points": Flag(dict(type=int), "grid size", 1201, "positive", _FIXED),
         "taumax": Flag(dict(type=float), "largest delay", 6.0, "positive", _FIXED), **_IO}),
     "squeeze": ("quadrature variances and squeezing", {
-        **_param_flags({}, {}), "X": Flag(dict(type=float, required=True), rule="finite"),
+        **_param_flags({}, {}), "X": Flag(dict(type=float, required=True), rule="nonnegative"),
         **_IO}),
     "scatter": ("side flux and phase-sum Monte Carlo", {
         "phase_sum": Flag(dict(action="store_true"),
@@ -383,7 +379,7 @@ _COMMANDS = {
         "cube": Flag(dict(type=float), "cube side in wavelengths for sampled positions",
                      50.0, "positive", _PHASE_SUM),
         "trials": Flag(dict(type=int), "phase-sum directions", 1000, "positive", _PHASE_SUM),
-        "X": Flag(dict(type=float), rule="finite", reads=_FLUX),
+        "X": Flag(dict(type=float), rule="nonnegative", reads=_FLUX),
         "theta": Flag(dict(type=float), "flux polar angle", np.pi / 2, "finite", _FLUX),
         "solid_angle": Flag(dict(type=float), "", 1e-3, "positive, at most 4pi", _FLUX),
         **_IO}),
@@ -402,6 +398,9 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=text, formatter_class=formatter)
+        # argparse reads -1e-3 and -inf as options unless this matches them as numbers
+        p._negative_number_matcher = re.compile(
+            r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.I)
         if command == "preset":
             p.add_argument("preset", choices=presets.PRESET_NAMES)
         for name, flag in flags.items():

@@ -101,10 +101,10 @@ def anomalous_correlator_time(params, X, tau_bar):
     Decaying oscillation at the vacuum Rabi frequency under the envelope
     exp(-(xi+1) tau_bar / 2); equals the equal-time anomalous entry of the
     weak covariance row at tau_bar = 0. Delays must be finite and
-    nonnegative, and X finite.
+    nonnegative, and so must X.
     """
-    if not np.isfinite(X):
-        raise ValueError("X must be finite")
+    if not 0 <= X < np.inf:
+        raise ValueError("X must be finite and nonnegative")
     t = checked_delays(tau_bar)
     warn_regime(regime_violation(params.C, X, "weak"))
     two_C, xi = 2.0 * params.C, params.xi
@@ -128,12 +128,12 @@ def g2_closed_form(variant, params, X=None, tau_bar_grid=None) -> CorrelationSer
     variant is one of G2_VARIANTS; _G2_PRECONDITIONS names the regime each
     warns outside and the input each requires. Weak variants warn outside
     X << X_minus, the strong one outside X >> X_plus and unless X^2 << N.
-    Delays must be finite and nonnegative, and X, where given, finite.
+    Delays must be finite and nonnegative, and X, where given, too.
     """
     if variant not in G2_VARIANTS:
         raise ValueError(f"unknown g2 variant {variant!r}")
-    if X is not None and not np.isfinite(X):
-        raise ValueError("X must be finite")
+    if X is not None and not 0 <= X < np.inf:
+        raise ValueError("X must be finite and nonnegative")
     if params.N < 1:
         raise ValueError("N must be >= 1")
     t = checked_delays(tau_bar_grid)

@@ -170,13 +170,13 @@ UNIT_AREA_VARIANTS = tuple(v for v, form in CLOSED_FORMS.items() if form.poles)
 
 def _require_inputs(variant, params, X):
     """Reject a call that lacks the params or the X its variant reads, or
-    whose X is NaN or infinite. A numeric variant reads both."""
+    whose X is negative, NaN or infinite. A numeric variant reads both."""
     inputs = {"params": params, "X": X}
     for name in CLOSED_FORMS[variant].needs if variant in CLOSED_FORMS else inputs:
         if inputs[name] is None:
             raise ValueError(f"variant {variant!r} requires {name}")
-    if X is not None and not np.isfinite(X):
-        raise ValueError("X must be finite")
+    if X is not None and not 0 <= X < np.inf:
+        raise ValueError("X must be finite and nonnegative")
 
 
 def spectrum_closed_form(variant, params=None, X=None, y_grid=None) -> SpectrumSeries:
@@ -288,8 +288,8 @@ def squeezing_spectrum_atomic(params, X, y_grid) -> SpectrumSeries:
     a signed quantity, so no unit-area normalization applies. Negative at
     line center on the weakly excited lower branch.
     """
-    if not np.isfinite(X):
-        raise ValueError("X must be finite")
+    if not 0 <= X < np.inf:
+        raise ValueError("X must be finite and nonnegative")
     y = np.asarray(y_grid, dtype=float)
     notes = warn_regime(regime_violation(params.C, X, "weak"))
     values = np.array(

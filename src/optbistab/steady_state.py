@@ -23,7 +23,7 @@ class OperatingPoint:
 
     X: float
     Y: float
-    branch: str  # monostable | lower | unstable-middle | upper | turning
+    branch: str  # branch_label: monostable | lower | unstable-middle | upper | turning
     moments: tuple  # (<a>, <J_minus>, <J_plus>, <J_z>)
 
 
@@ -127,32 +127,34 @@ def _cubic_roots(C, Y):
     return sorted(polished)
 
 
-def solve_state_equation(C, Y):
-    """All nonnegative steady amplitudes for drive Y, labelled by branch.
+def branch_label(X, tp):
+    """The branch of amplitude X on the curve with turning points tp.
 
-    Returns operating points sorted by ascending X. Three roots occur only
-    for C > 4 with Y strictly between the turning drives; roots landing
-    within the turning tolerance are labelled "turning" since the
-    linearization is marginal there.
+    "monostable" when C <= 4; "turning" within the turning tolerance of a
+    turning point, where the linearization is marginal; otherwise "lower"
+    below X_minus, "unstable-middle" up to X_plus and "upper" above it.
+    """
+    if not tp.exists:
+        return "monostable"
+    for Xt in (tp.X_minus, tp.X_plus):
+        if abs(X - Xt) <= TOL.turning_label_rel * max(1.0, Xt):
+            return "turning"
+    if X < tp.X_minus:
+        return "lower"
+    return "unstable-middle" if X <= tp.X_plus else "upper"
+
+
+def solve_state_equation(C, Y):
+    """All nonnegative steady amplitudes for drive Y, sorted by ascending X
+    and labelled by branch_label. Three roots occur only for C > 4 with Y
+    strictly between the turning drives.
     """
     if not 0 <= Y < math.inf:
         raise ValueError("Y must be finite and nonnegative")
-    if Y == 0.0:
-        return [OperatingPoint(0.0, 0.0, "monostable", steady_moments(0.0))]
-    roots = _cubic_roots(C, Y)
-    if len(roots) == 3:
-        labels = ["lower", "unstable-middle", "upper"]
-    else:
-        labels = ["monostable"] * len(roots)
-    tp = turning_points(C) if C > 4.0 else None
-    points = []
-    for X, label in zip(roots, labels):
-        if tp is not None and tp.exists:
-            for Xt in (tp.X_minus, tp.X_plus):
-                if abs(X - Xt) <= TOL.turning_label_rel * max(1.0, Xt):
-                    label = "turning"
-        points.append(OperatingPoint(X, Y, label, steady_moments(X)))
-    return points
+    Y = abs(Y)  # the drive -0.0 is 0.0, whose one root is X = 0.0
+    tp = turning_points(C)
+    return [OperatingPoint(X, Y, branch_label(X, tp), steady_moments(X))
+            for X in _cubic_roots(C, Y)]
 
 
 def integrate_maxwell_bloch(params, Y, initial, tau_bar_max, dt=1e-3):
@@ -239,16 +241,6 @@ def steady_mb_state(X):
 def curve_points(C, x_max, n=400):
     """Sampled bistability curve: list of (X, Y, branch) rows for export."""
     tp = turning_points(C)
-    rows = []
-    for X in np.linspace(0.0, x_max, n):
-        Y = evaluate_drive(C, X)
-        if not tp.exists:
-            branch = "monostable"
-        elif X < tp.X_minus:
-            branch = "lower"
-        elif X <= tp.X_plus:
-            branch = "unstable-middle"
-        else:
-            branch = "upper"
-        rows.append((float(X), float(Y), branch))
+    rows = [(X, float(evaluate_drive(C, X)), branch_label(X, tp))
+            for X in np.linspace(0.0, x_max, n).tolist()]
     return rows, tp

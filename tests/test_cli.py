@@ -87,6 +87,16 @@ class TestCurveAndSolve:
             [("# command=curve", "# command=solve")] if fmt == "csv"
             else [('"command": "curve",', '"command": "solve",')])
 
+    @pytest.mark.parametrize("command", ["solve", "curve"])
+    @pytest.mark.parametrize("y, branch", [("1", "lower"), ("30", "upper"), ("0", "lower")])
+    def test_single_root_names_its_side_above_threshold(self, tmp_path, command, y, branch):
+        # at C = 5 the one root at Y = 0 or 1 lies below X_minus, at Y = 30
+        # above X_plus
+        out = tmp_path / "roots"
+        assert cli.main([command, "--C", "5", "--y", y, "--out", str(out)]) == 0
+        _, _, rows = read_csv(f"{out}.csv")
+        assert [r[2] for r in rows] == [branch]
+
     def test_invalid_range_is_usage_error(self, tmp_path):
         rc = cli.main(["curve", "--C", "5", "--xmax", "-3",
                        "--out", str(tmp_path / "x")])
@@ -817,7 +827,8 @@ def _mode_runs(command):
               for variant in correlations.G2_VARIANTS if variant != "atomic-weak-recast")],
         "squeeze": [[*P5, "--X", "0.05"], [*RATES, "--X", "0.05"]],
         "scatter": [[*P5, "--X", "1"], [*RATES, "--X", "1"],
-                    ["--phase-sum", "--N", "10", "--trials", "20"]],
+                    ["--phase-sum", "--N", "10", "--trials", "20"],
+                    [*P5, "--X", "1", "--theta", "-1e-3"]],
         "preset": [["fig1c"]],
     }[command]
 
@@ -904,6 +915,14 @@ class TestFlagTable:
          "parameter error: xi must be finite"),
         (["spectrum", "--method", "numeric", "--params", "{params}", "--X", "0.01"],
          "parameter error: C must be finite"),
+        # a negative amplitude is out of range, and -1e-3 reads as a number
+        *(([command, *argv, "--X", bad], "usage error: --X must be nonnegative")
+          for command, argv in (("spectrum", ["--method", "upper-branch"]),
+                                ("spectrum", P5), ("g2", [*P5, "--N", "100"]),
+                                ("g2", ["--variant", "atomic-strong", *P5, "--N", "100"]),
+                                ("squeeze", P5), ("scatter", P5))
+          for bad in ("-1", "-1e-3")),
+        (["scatter", *P5, "--X", "1", "--theta", "-inf"], "usage error: --theta must be finite"),
     ])
     def test_unread_or_out_of_range_flag_exits_two(self, tmp_path, capsys, argv, err):
         inputs, out = tmp_path / "in", tmp_path / "out"

@@ -281,9 +281,10 @@ class TestNonFiniteDelays:
 
 
 class TestNonFiniteAmplitude:
-    """A closed form that reads X rejects a NaN or infinite one, not NaN values."""
+    """A closed form that reads X rejects a negative, NaN or infinite one, not
+    NaN values."""
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_anomalous_correlator(self, p51, bad):
         with pytest.raises(ValueError, match="X must be finite"):
             anomalous_correlator_time(p51, bad, 1.0)
@@ -292,6 +293,11 @@ class TestNonFiniteAmplitude:
     def test_strong_g2(self, p51, bad):
         with pytest.raises(ValueError, match="X must be finite"):
             g2_closed_form("atomic-strong", p51, X=bad, tau_bar_grid=np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("variant", G2_VARIANTS)
+    def test_every_g2_form_refuses_a_negative_amplitude(self, p51, variant):
+        with pytest.raises(ValueError, match="X must be finite and nonnegative"):
+            g2_closed_form(variant, p51, X=-1.0, tau_bar_grid=np.array([0.0, 1.0]))
 
 
 class TestG2XVariants:

@@ -410,9 +410,10 @@ class TestSqueezingSpectrum:
 
 
 class TestNonFiniteAmplitude:
-    """A closed form that reads X rejects a NaN or infinite one, not NaN values."""
+    """A closed form that reads X rejects a negative, NaN or infinite one, not
+    NaN values."""
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_squeezing_spectrum(self, p51, bad):
         with pytest.raises(ValueError, match="X must be finite"):
             squeezing_spectrum_atomic(p51, bad, np.array([0.0]))
@@ -425,6 +426,11 @@ class TestNonFiniteAmplitude:
         if variant in UNIT_AREA_VARIANTS:
             with pytest.raises(ValueError, match="X must be finite"):
                 verify_unit_area(variant, p51, bad)
+
+    @pytest.mark.parametrize("variant", CLOSED_FORMS)
+    def test_every_closed_form_refuses_a_negative_amplitude(self, p51, variant):
+        with pytest.raises(ValueError, match="X must be finite and nonnegative"):
+            spectrum_closed_form(variant, p51, X=-1.0, y_grid=np.array([0.0]))
 
 
 class TestSaturationFactor:

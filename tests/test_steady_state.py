@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_maxwell_bloch
-from optbistab.numerics import DivergenceError
+from optbistab.numerics import TOL, DivergenceError
 from optbistab.params import SystemParams
 from optbistab.steady_state import (
     evaluate_drive,
@@ -74,6 +74,25 @@ class TestSolveStateEquation:
             Y = float(rng.uniform(0.0, 30.0))
             for p in solve_state_equation(C, Y):
                 assert abs(evaluate_drive(C, p.X) - Y) <= 1e-9 * max(1.0, Y)
+
+    def test_every_root_carries_the_label_of_its_interval(self):
+        # monostable for C <= 4; above, turning near a turning point, else
+        # lower below X_minus, upper above X_plus and unstable-middle between
+        rng = np.random.default_rng(24)
+        for C in [*rng.uniform(0.2, 4.0, 50), 4.0, *rng.uniform(4.0, 50.0, 200), 50.0]:
+            tp = turning_points(C)
+            # drives up to twice the upper turning drive reach both single-root sides
+            for Y in (0.0, *rng.uniform(0.0, 2.0 * tp.Y_minus if C > 4.0 else 30.0, 5)):
+                for p in solve_state_equation(C, Y):
+                    if C <= 4.0:
+                        expected = "monostable"
+                    elif min(abs(p.X / Xt - 1.0) for Xt in (tp.X_minus, tp.X_plus)) \
+                            <= TOL.turning_label_rel:
+                        expected = "turning"
+                    else:
+                        expected = ("lower" if p.X < tp.X_minus else "upper"
+                                    if p.X > tp.X_plus else "unstable-middle")
+                    assert p.branch == expected, (C, Y, p)
 
     def test_branch_ordering_interleaves_turning_points(self):
         tp = turning_points(5.0)
