@@ -218,6 +218,10 @@ def cmd_g2(args):
     grid = np.linspace(0.0, args.taumax, args.points)
     if args.variant in correlations.G2_X_VARIANTS and args.X is None:
         raise UsageError(f"g2 --variant {args.variant} needs --X")
+    if "raw rates" in correlations._G2_PRECONDITIONS.get(args.variant, ()) \
+            and not params.has_rates:
+        raise UsageError(f"g2 --variant {args.variant} needs raw rates: give "
+                         "--g-mhz --kappa-mhz --gamma-mhz --N or a --params file with them")
     if args.variant == "numeric":
         series = correlations.g2_numeric(params, args.X, grid)
     else:

@@ -91,6 +91,9 @@ def side_flux(params, X, theta, solid_angle) -> SideFluxResult:
     )
 
 
+_PHASE_BLOCK = 2**16  # elements of each (trials, N) phase-sum temporary: 0.5 MB
+
+
 @dataclass(frozen=True)
 class PhaseSumStatistics:
     mean_abs: float
@@ -100,33 +103,29 @@ class PhaseSumStatistics:
     seed: int
 
 
-def _unit_direction(rng):
-    v = rng.normal(size=3)
-    n = np.linalg.norm(v)
-    while n < 1e-12:
-        v = rng.normal(size=3)
-        n = np.linalg.norm(v)
-    return v / n
-
-
-def normalized_phase_sum(positions, direction):
-    """(1/N) sum_{j != k} exp(-i k0 r_hat . (r_j - r_k)) for one direction.
+def normalized_phase_sum(positions, directions):
+    """(1/N) sum_{j != k} exp(-i k0 r_hat . (r_j - r_k)) for one direction,
+    or for each row of a (k, 3) stack of directions.
 
     positions are in wavelength units, so k0 r_hat . r = 2 pi r_hat . x.
-    The double sum is evaluated as |sum_j exp(-i phi_j)|^2 - N.
+    The double sum is evaluated as |sum_j exp(-i phi_j)|^2 - N, with
+    |sum_j exp(-i phi_j)|^2 = (sum_j cos phi_j)^2 + (sum_j sin phi_j)^2.
     """
-    phases = np.exp(-2j * np.pi * (positions @ direction))
-    total = np.abs(phases.sum()) ** 2 - len(positions)
-    return total / len(positions)
+    N = len(positions)
+    phi = 2.0 * np.pi * np.asarray(directions) @ np.transpose(positions)
+    return (np.cos(phi).sum(axis=-1) ** 2 + np.sin(phi).sum(axis=-1) ** 2 - N) / N
 
 
 def phase_sum_monte_carlo(geometry: ScatterGeometry, trials) -> PhaseSumStatistics:
     """Statistics of the interatomic phase sum over random directions.
 
-    Directions are drawn from per-trial RNG streams seeded by
-    (rng_seed, trial index), so results are reproducible regardless of any
-    parallel scheduling. The coherent bound N-1 is what perfectly aligned
-    phases (e.g. a Bragg-ordered chain viewed end-on) would give.
+    Directions come from per-trial RNG streams seeded by (rng_seed, trial
+    index), three normal draws each, drawn again while their norm is below
+    1e-12, so results are reproducible regardless of any parallel
+    scheduling. Trials are evaluated in row blocks of at most
+    _PHASE_BLOCK // N, which bounds each temporary at any atom count. The
+    coherent bound N-1 is what perfectly aligned phases (e.g. a
+    Bragg-ordered chain viewed end-on) would give.
     """
     pos = geometry.positions
     N = len(pos)
@@ -138,11 +137,16 @@ def phase_sum_monte_carlo(geometry: ScatterGeometry, trials) -> PhaseSumStatisti
     d_min = _min_pairwise_distance(pos)
     warn_regime(d_min < 1.0 and f"minimum interatomic distance {d_min:.3g} wavelengths; "
                 "the random-phase assumption needs atoms far apart on that scale")
-    values = np.empty(trials)
-    for trial in range(trials):
-        rng = np.random.default_rng([geometry.rng_seed, trial])
-        direction = _unit_direction(rng)
-        values[trial] = abs(normalized_phase_sum(pos, direction))
+    seed = geometry.rng_seed
+    raw = np.array([np.random.default_rng([seed, t]).normal(size=3) for t in range(trials)])
+    for t in np.flatnonzero(np.linalg.norm(raw, axis=1) < 1e-12):
+        rng = np.random.default_rng([seed, t])  # replay the stream from its first draw
+        while np.linalg.norm(raw[t]) < 1e-12:
+            raw[t] = rng.normal(size=3)
+    directions = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    rows = max(1, _PHASE_BLOCK // N)
+    values = np.abs(np.concatenate([normalized_phase_sum(pos, directions[i:i + rows])
+                                    for i in range(0, trials, rows)]))
     return PhaseSumStatistics(
         mean_abs=float(values.mean()),
         max_abs=float(values.max()),
@@ -157,10 +161,10 @@ def _min_pairwise_distance(pos):
     if n > 512:
         idx = np.random.default_rng(0).choice(n, size=512, replace=False)
         pos = pos[idx]
-    diff = pos[:, None, :] - pos[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=-1))
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
+    # coordinate by coordinate, so no (n, n, 3) temporary; sqrt is monotone
+    d2 = sum((x[:, None] - x[None, :]) ** 2 for x in pos.T)
+    np.fill_diagonal(d2, np.inf)
+    return float(np.sqrt(d2.min()))
 
 
 def sample_positions_cube(N, side_lambda, seed=0):

@@ -3,13 +3,15 @@
 The oracles here deliberately avoid the package's own code paths: the
 stationary covariance is cross-checked against scipy's Bartels-Stewart
 solver and against a 25-unknown Kronecker-product solve, and propagators
-against series expansion / RK4. The Maxwell-Bloch reference runs the
-vector RK4 of `numerics.integrate_ode` on a numpy right-hand side, the form
-the scalar kernel in `steady_state` must reproduce bit for bit. The wide
-mirror-exact grid of `half_grid` serves the evenness tests of the spectra
-and the resolvent. The reference writers encode a table row by row and cell
-by cell, CSV through `output._fmt` and JSON through `json.dump` itself; the
-column-wise writers in `output` must reproduce their bytes.
+against series expansion / RK4. The Maxwell-Bloch reference runs the vector
+RK4 of `numerics.integrate_ode` on a numpy right-hand side, the form the
+scalar kernel in `steady_state` must reproduce bit for bit. The phase-sum
+reference evaluates one direction per trial, the loop the blocked Monte
+Carlo in `scattering` must match. The wide mirror-exact grid of `half_grid`
+serves the evenness tests of the spectra and the resolvent. The reference
+writers encode a table row by row and cell by cell, CSV through
+`output._fmt` and JSON through `json.dump` itself; the column-wise writers
+in `output` must reproduce their bytes.
 """
 
 import json
@@ -94,6 +96,24 @@ def reference_maxwell_bloch(params, Y, initial, tau_bar_max, dt=1e-3):
         ])
 
     return integrate_ode(rhs, np.asarray(initial, dtype=float), tau_bar_max, dt)
+
+
+def reference_phase_sum(positions, rng_seed, trials):
+    """(mean, max) of |normalized phase sum| over the documented per-trial
+    streams, one trial at a time: three normal draws from
+    default_rng([rng_seed, trial]), drawn again while their norm is below
+    1e-12, and the sum as |sum_j exp(-2 pi i r_hat . x_j)|^2 - N over N."""
+    positions = np.asarray(positions, dtype=float)
+    n = len(positions)
+    values = np.empty(trials)
+    for trial in range(trials):
+        rng = np.random.default_rng([rng_seed, trial])
+        v = rng.normal(size=3)
+        while np.linalg.norm(v) < 1e-12:
+            v = rng.normal(size=3)
+        phases = np.exp(-2j * np.pi * (positions @ (v / np.linalg.norm(v))))
+        values[trial] = abs((np.abs(phases.sum()) ** 2 - n) / n)
+    return float(values.mean()), float(values.max())
 
 
 def reference_write_csv(path, columns, rows, meta=None, warnings_list=()):

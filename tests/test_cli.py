@@ -360,6 +360,22 @@ class TestG2Command:
         assert f"usage error: g2 --variant {variant} needs --X" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("source", [["--C", "5", "--xi", "1", "--N", "100"],
+                                        ["--params", "{params}"]], ids=["inline", "file"])
+    def test_rate_variant_without_rates_is_a_usage_error(self, tmp_path, capsys, source):
+        # the laboratory-rate form reads g, kappa and gamma: without them the
+        # input is missing, which the CLI refuses before any regime check
+        (tmp_path / "p.json").write_text('{"C": 5, "xi": 1, "N": 100}')
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["g2", "--variant", "atomic-weak-recast", "--X", "0.01",
+                *[a.format(params=tmp_path / "p.json") for a in source]]
+        assert cli.main(argv + ["--out", str(out / "g")]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: g2 --variant atomic-weak-recast needs raw rates: give --g-mhz "
+            "--kappa-mhz --gamma-mhz --N or a --params file with them\n")
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("drop", ["--g-mhz", "--kappa-mhz", "--gamma-mhz"])
     def test_rate_flags_come_together(self, tmp_path, capsys, drop):
         rates = {"--g-mhz": "1.06", "--kappa-mhz": "0.88", "--gamma-mhz": "10"}

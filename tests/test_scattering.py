@@ -1,10 +1,12 @@
 """Side flux, random-phase Monte Carlo, auxiliary emission channel."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import reference_phase_sum
 from optbistab.lindyn import RegimeWarning
 from optbistab.params import SystemParams, from_raw_rates
 from optbistab.scattering import (
@@ -141,6 +143,78 @@ class TestPhaseSum:
     def test_nonfinite_positions_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             ScatterGeometry(positions=[[0, 0, 0], [bad, 0, 0]])
+
+
+def _cube(N, seed):
+    return sample_positions_cube(N, 50.0, seed=seed)
+
+
+class TestBlockedPhaseSum:
+    """The Monte Carlo evaluates every trial's direction in row blocks; the
+    per-trial loop of `reference_phase_sum` is the oracle."""
+
+    @pytest.mark.parametrize("positions, seed, trials", [
+        (_cube(100, 3), 3, 1000),
+        (bragg_chain(100), 0, 500),
+        ([[0, 0, 0], [1, 0.5, 0], [0.3, 2, 1]], 5, 1000),
+        (_cube(2000, 1), 1, 1000),  # 32 directions per block: 32 blocks
+    ], ids=["cube-100", "bragg-100", "three-atoms", "cube-2000"])
+    def test_matches_per_trial_reference(self, positions, seed, trials):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            stats = phase_sum_monte_carlo(ScatterGeometry(positions, seed), trials)
+        mean, peak = reference_phase_sum(positions, seed, trials)
+        assert stats.mean_abs == pytest.approx(mean, rel=1e-12)
+        assert stats.max_abs == pytest.approx(peak, rel=1e-12)
+        assert (stats.trials, stats.seed) == (trials, seed)
+        assert stats.coherent_bound == len(positions) - 1
+
+    @pytest.mark.parametrize("positions", [_cube(100, 3), bragg_chain(100),
+                                           [[0, 0, 0], [1, 0.5, 0], [0.3, 2, 1]]],
+                             ids=["cube-100", "bragg-100", "three-atoms"])
+    def test_stacked_rows_equal_single_directions(self, positions):
+        d = np.random.default_rng(9).normal(size=(40, 3))
+        d = np.vstack([np.eye(3), d / np.linalg.norm(d, axis=1, keepdims=True)])
+        stacked = normalized_phase_sum(positions, d)
+        single = [normalized_phase_sum(positions, row) for row in d]
+        assert stacked.shape == (43,) and np.ndim(single[0]) == 0
+        np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-12)
+
+    def test_zero_draw_is_drawn_again(self, monkeypatch):
+        # a stub stream whose first draw is (0, 0, 0) for every third trial
+        real = np.random.default_rng
+
+        class ZeroFirst:
+            def __init__(self, seed):
+                self.rng, self.fresh = real(seed), True
+
+            def normal(self, size):
+                draw, first, self.fresh = self.rng.normal(size=size), self.fresh, False
+                return np.zeros(size) if first else draw
+
+        positions, trials = [[0, 0, 0], [1, 0.5, 0], [0.3, 2, 1]], 30
+        plain = phase_sum_monte_carlo(ScatterGeometry(positions, 3), trials)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: ZeroFirst(seed) if seed[1] % 3 == 0 else real(seed))
+        stats = phase_sum_monte_carlo(ScatterGeometry(positions, 3), trials)
+        mean, peak = reference_phase_sum(positions, 3, trials)
+        assert stats.mean_abs == pytest.approx(mean, rel=1e-12)
+        assert stats.max_abs == pytest.approx(peak, rel=1e-12)
+        assert stats.mean_abs != plain.mean_abs
+
+    def test_peak_memory_is_bounded_by_the_blocks(self):
+        # one (trials, N) temporary would take 160 MB here
+        geom = ScatterGeometry(sample_positions_cube(20000, 500.0, seed=2), rng_seed=2)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RegimeWarning)
+                stats = phase_sum_monte_carlo(geom, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.trials == 1000 and np.isfinite(stats.mean_abs)
+        assert peak < 8e6
 
 
 class TestAuxiliaryChannel:

@@ -234,3 +234,18 @@ class TestScalarKernel:
         with pytest.raises(DivergenceError) as got:
             integrate_maxwell_bloch(weak_params, 6.0, x0, 5.0, dt=0.1)
         assert got.value.step == ref.value.step > 1
+
+    @pytest.mark.parametrize("x0", [[30.0, 30.0, 0.0, 0.0, 30.0], [np.inf, 0.0, 0.0, 0.0, -1.0],
+                                    [0.0, 0.0, np.nan, 0.0, -1.0]],
+                             ids=["blow-up", "inf-start", "nan-start"])
+    def test_early_divergence_in_a_long_run_names_the_reference_step(self, weak_params, x0):
+        # finiteness is checked after the run, which goes on for 5,000 steps
+        # past the blow-up; the first non-finite row must still be the step
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as ref:
+            reference_maxwell_bloch(weak_params, 6.0, np.array(x0), 500.0, dt=0.1)
+        with pytest.raises(DivergenceError) as got:
+            integrate_maxwell_bloch(weak_params, 6.0, np.array(x0), 500.0, dt=0.1)
+        assert got.value.step == ref.value.step <= 10
+        assert str(got.value) == str(ref.value)
+        assert str(ref.value) == f"state became non-finite at step {ref.value.step}"
